@@ -22,12 +22,12 @@ double run(double explore_fraction) {
   SimHost host(eng, sim::PlatformProfile::linux2_2());
   SimNestConfig cfg;
   cfg.tm.scheduler = "fifo";
-  cfg.tm.adaptive = true;
-  cfg.tm.adapt.metric = transfer::AdaptMetric::throughput;
-  cfg.tm.adapt.enabled = {transfer::ConcurrencyModel::threads,
-                          transfer::ConcurrencyModel::events};
-  cfg.tm.adapt.warmup_per_model = 8;
-  cfg.tm.adapt.explore_fraction = explore_fraction;
+  cfg.adaptive = true;
+  cfg.adapt.metric = transfer::AdaptMetric::throughput;
+  cfg.adapt.enabled = {transfer::ConcurrencyModel::threads,
+                       transfer::ConcurrencyModel::events};
+  cfg.adapt.warmup_per_model = 8;
+  cfg.adapt.explore_fraction = explore_fraction;
   SimNest server(host, cfg);
   WorkloadSpec spec;
   spec.duration = 60 * kSecond;

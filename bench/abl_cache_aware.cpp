@@ -21,7 +21,7 @@ WorkloadResult run(const std::string& scheduler) {
   SimHost host(eng, sim::PlatformProfile::linux2_2());
   SimNestConfig cfg;
   cfg.tm.scheduler = scheduler;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   cfg.tm.cache_model_bytes = host.platform().cache_bytes;
   // Fewer service slots than clients: requests queue at the transfer
   // manager, which is where scheduling policy acts.

@@ -91,7 +91,6 @@ class LegacyGate {
 TransferManager::Options bench_options() {
   TransferManager::Options o;
   o.scheduler = "fifo";
-  o.adaptive = false;
   return o;
 }
 

@@ -39,7 +39,7 @@ void recall_latency() {
     sim::Engine eng;
     SimHost host(eng, sim::PlatformProfile::linux2_2());
     SimNestConfig cfg;
-    cfg.tm.adaptive = false;
+    cfg.adaptive = false;
     SimNest server(host, cfg);
     server.attach_cold_tier(sim::PlatformProfile::tape2002());
     server.add_cold_file("/archive", mb * 1'000'000);
@@ -77,7 +77,7 @@ void recall_storm() {
     sim::Engine eng;
     SimHost host(eng, sim::PlatformProfile::linux2_2());
     SimNestConfig cfg;
-    cfg.tm.adaptive = false;
+    cfg.adaptive = false;
     SimNest server(host, cfg);
     server.attach_cold_tier(sim::PlatformProfile::tape2002());
     server.add_cold_file("/storm", 8'000'000);
@@ -115,7 +115,7 @@ PacingRow run_pacing(std::int64_t live_tickets, std::int64_t mig_tickets,
   sim::Engine eng;
   SimHost host(eng, sim::PlatformProfile::linux2_2());
   SimNestConfig cfg;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   cfg.tm.scheduler = "stride";
   cfg.service_slots = 1;  // every grant goes through the scheduler
   cfg.hsm_block = 64 * 1024;

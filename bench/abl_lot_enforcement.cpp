@@ -26,7 +26,7 @@ double run_write(std::int64_t size, bool kernel_quota) {
   // bookkeeping on every flush.
   host.store().set_quota_enabled(kernel_quota);
   SimNestConfig cfg;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   SimNest server(host, cfg);
   Nanos done = 0;
   sim::spawn([](sim::Engine& e, SimNest& s, std::int64_t sz,

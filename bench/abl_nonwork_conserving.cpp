@@ -34,7 +34,7 @@ Outcome run(const std::string& scheduler,
   SimHost host(eng, sim::PlatformProfile::linux2_2());
   SimNestConfig cfg;
   cfg.tm.scheduler = scheduler;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   SimNest server(host, cfg);
   for (std::size_t i = 0; i < kProtocols.size(); ++i) {
     server.tm().stride()->set_tickets(kProtocols[i], tickets[i]);

@@ -44,7 +44,7 @@ RunResult run_one(std::size_t users, double load_factor, bool admission_on) {
   sim::Engine eng;
   SimHost host(eng, sim::PlatformProfile::linux2_2());
   SimNestConfig cfg;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   if (admission_on) {
     cfg.admission.target_ms = 400.0;
     cfg.admission.max_queue = 16;

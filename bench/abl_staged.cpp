@@ -19,8 +19,8 @@ namespace {
 
 SimNestConfig fixed(ConcurrencyModel model) {
   SimNestConfig cfg;
-  cfg.tm.adaptive = false;
-  cfg.tm.fixed_model = model;
+  cfg.adaptive = false;
+  cfg.fixed_model = model;
   return cfg;
 }
 

@@ -37,7 +37,7 @@ double run_reads(const sim::PlatformProfile& profile,
   sim::Engine eng;
   SimHost host(eng, profile);
   SimNestConfig cfg;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   SimNest server(host, cfg);
   server.add_file("/input.dat", kInput, /*cached=*/true);
   Nanos done = 0;

@@ -29,7 +29,7 @@ std::map<std::string, double> run(const std::vector<UserSpec>& users) {
   SimHost host(eng, sim::PlatformProfile::linux2_2());
   SimNestConfig cfg;
   cfg.tm.scheduler = "stride-user";
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   cfg.service_slots = 4;  // fewer slots than clients: scheduler arbitrates
   SimNest server(host, cfg);
   for (const auto& u : users) {

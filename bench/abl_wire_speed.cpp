@@ -116,8 +116,6 @@ int main(int argc, char** argv) {
   opts.backend = "local";
   opts.root_dir = dir.string();
   opts.capacity = file_bytes * 2;
-  opts.tm.adaptive = false;
-  opts.tm.fixed_model = transfer::ConcurrencyModel::threads;
   // Large quantum: the scheduler still admits per block, but block
   // bookkeeping is the same in both modes, so the copy is the variable.
   opts.block_bytes = kMiB;

@@ -26,8 +26,8 @@ const std::vector<std::string> kProtocols = {"chirp", "http", "gridftp",
 SimNestConfig nest_config() {
   SimNestConfig cfg;
   cfg.tm.scheduler = "fifo";  // the default transfer manager, per the paper
-  cfg.tm.adaptive = false;    // isolate protocol effects
-  cfg.tm.fixed_model = transfer::ConcurrencyModel::threads;
+  cfg.adaptive = false;       // isolate protocol effects
+  cfg.fixed_model = transfer::ConcurrencyModel::threads;
   return cfg;
 }
 

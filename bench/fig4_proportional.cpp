@@ -36,8 +36,8 @@ WorkloadResult run_config(const Config& cfg) {
   SimHost host(eng, sim::PlatformProfile::linux2_2());
   SimNestConfig scfg;
   scfg.tm.scheduler = cfg.stride ? "stride" : "fifo";
-  scfg.tm.adaptive = false;
-  scfg.tm.fixed_model = transfer::ConcurrencyModel::threads;
+  scfg.adaptive = false;
+  scfg.fixed_model = transfer::ConcurrencyModel::threads;
   SimNest server(host, scfg);
   if (cfg.stride) {
     auto* stride = server.tm().stride();

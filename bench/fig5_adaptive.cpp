@@ -43,20 +43,20 @@ SimNestConfig config_for(Scheme s, AdaptMetric metric) {
   cfg.tm.scheduler = "fifo";
   switch (s) {
     case Scheme::events:
-      cfg.tm.adaptive = false;
-      cfg.tm.fixed_model = ConcurrencyModel::events;
+      cfg.adaptive = false;
+      cfg.fixed_model = ConcurrencyModel::events;
       break;
     case Scheme::threads:
-      cfg.tm.adaptive = false;
-      cfg.tm.fixed_model = ConcurrencyModel::threads;
+      cfg.adaptive = false;
+      cfg.fixed_model = ConcurrencyModel::threads;
       break;
     case Scheme::adaptive:
-      cfg.tm.adaptive = true;
-      cfg.tm.adapt.metric = metric;
-      cfg.tm.adapt.enabled = {ConcurrencyModel::threads,
-                              ConcurrencyModel::events};
-      cfg.tm.adapt.warmup_per_model = 8;
-      cfg.tm.adapt.explore_fraction = 0.1;
+      cfg.adaptive = true;
+      cfg.adapt.metric = metric;
+      cfg.adapt.enabled = {ConcurrencyModel::threads,
+                           ConcurrencyModel::events};
+      cfg.adapt.warmup_per_model = 8;
+      cfg.adapt.explore_fraction = 0.1;
       break;
   }
   return cfg;

@@ -23,8 +23,8 @@ double run_write(std::int64_t size, bool quotas) {
   SimHost host(eng, sim::PlatformProfile::linux2_2());
   host.store().set_quota_enabled(quotas);
   SimNestConfig cfg;
-  cfg.tm.adaptive = false;
-  cfg.tm.fixed_model = transfer::ConcurrencyModel::threads;
+  cfg.adaptive = false;
+  cfg.fixed_model = transfer::ConcurrencyModel::threads;
   SimNest server(host, cfg);
   Nanos done = 0;
   sim::spawn([](sim::Engine& e, SimNest& s, std::int64_t sz,
@@ -41,8 +41,8 @@ double run_read(std::int64_t size, bool quotas) {
   SimHost host(eng, sim::PlatformProfile::linux2_2());
   host.store().set_quota_enabled(quotas);
   SimNestConfig cfg;
-  cfg.tm.adaptive = false;
-  cfg.tm.fixed_model = transfer::ConcurrencyModel::threads;
+  cfg.adaptive = false;
+  cfg.fixed_model = transfer::ConcurrencyModel::threads;
   SimNest server(host, cfg);
   server.add_file("/cold", size, /*cached=*/false);
   Nanos done = 0;

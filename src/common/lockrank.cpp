@@ -93,7 +93,6 @@ const char* rank_name(Rank r) noexcept {
     case Rank::nfs_handles: return "nfs_handles";
     case Rank::dispatcher_pub: return "dispatcher_pub";
     case Rank::hsm_worker: return "hsm_worker";
-    case Rank::executor_queue: return "executor_queue";
     case Rank::executor_throttle: return "executor_throttle";
     case Rank::dispatcher_load: return "dispatcher_load";
     case Rank::transfer_admission: return "transfer_admission";
@@ -109,7 +108,6 @@ const char* rank_name(Rank r) noexcept {
     case Rank::transfer_shard: return "transfer_shard";
     case Rank::transfer_registry: return "transfer_registry";
     case Rank::transfer_cache: return "transfer_cache";
-    case Rank::transfer_selector: return "transfer_selector";
     case Rank::obs_load: return "obs_load";
     case Rank::obs_rings: return "obs_rings";
     case Rank::obs_live: return "obs_live";

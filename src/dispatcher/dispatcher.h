@@ -4,8 +4,9 @@
 // synchronously at the storage manager (which serializes them). Transfer
 // requests are *approved* by the storage manager and then registered with
 // the transfer manager, whose scheduler orders the actual data movement
-// through the BlockGate. The dispatcher also consolidates resource and
-// data availability and publishes it as a ClassAd into a discovery system.
+// through the TransferCore's block admission. The dispatcher also
+// consolidates resource and data availability and publishes it as a
+// ClassAd into a discovery system.
 #pragma once
 
 #include <cstdint>
@@ -26,44 +27,6 @@
 #include "transfer/transfer_manager.h"
 
 namespace nest::dispatcher {
-
-// Real-mode analogue of the simulator's service gate: connection threads
-// block here until the transfer manager's scheduler grants their next
-// block a service slot.
-//
-// Thin adapter over transfer::TransferCore, which owns the whole
-// concurrent lifecycle (sharded submission, lock-free charging,
-// per-request grant wakeups). Kept as the dispatcher-level name for the
-// admission point; new code can take the TransferCore directly.
-class BlockGate {
- public:
-  BlockGate(transfer::TransferManager& tm, int slots) : core_(tm, slots) {}
-
-  // Blocks until `r` is granted a slot. Thread-safe.
-  void acquire(transfer::TransferRequest* r) { core_.acquire(r); }
-  void release() { core_.release(); }
-
-  transfer::TransferRequest* create_request(const std::string& protocol,
-                                            transfer::Direction dir,
-                                            const std::string& path,
-                                            std::int64_t size,
-                                            const std::string& user = {}) {
-    return core_.create_request(protocol, dir, path, size, user);
-  }
-  void charge(transfer::TransferRequest* r, std::int64_t bytes) {
-    core_.charge(r, bytes);
-  }
-  void complete(transfer::TransferRequest* r) { core_.complete(r); }
-  transfer::ConcurrencyModel pick_model() { return core_.pick_model(); }
-  void report_model(transfer::ConcurrencyModel m, double metric_value) {
-    core_.report_model(m, metric_value);
-  }
-
-  transfer::TransferCore& core() { return core_; }
-
- private:
-  transfer::TransferCore core_;
-};
 
 // Reply for non-transfer requests: a status plus a textual payload whose
 // meaning depends on the op (directory listing, lot description, ACL
@@ -122,8 +85,9 @@ class Dispatcher {
   // the HSM ops (hsm_status/recall/migrate, lot_pin) become live.
   void set_hsm(hsm::HsmManager* hsm) { hsm_ = hsm; }
   hsm::HsmManager* hsm() { return hsm_; }
-  BlockGate& gate() { return gate_; }
-  transfer::TransferCore& core() { return gate_.core(); }
+  // Block admission: connection threads block in core().acquire() until
+  // the transfer manager's scheduler grants their next block a slot.
+  transfer::TransferCore& core() { return core_; }
   transfer::AdmissionController& admission() { return admission_; }
 
   // Consolidated availability ad (storage state + transfer load +
@@ -158,7 +122,7 @@ class Dispatcher {
   transfer::TransferManager& tm_;
   hsm::HsmManager* hsm_ = nullptr;
   Options options_;
-  BlockGate gate_;
+  transfer::TransferCore core_;
   // Latency-target shedder consulted by approve_get/approve_put; fed by
   // TransferCore's create/complete hooks (wired in the constructor).
   transfer::AdmissionController admission_;

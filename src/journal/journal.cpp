@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/log.h"
@@ -118,17 +117,6 @@ Result<SyncMode> sync_mode_by_name(const std::string& name) {
   if (name == "group") return SyncMode::group;
   if (name == "always") return SyncMode::always;
   return Error{Errc::invalid_argument, "unknown journal sync '" + name + "'"};
-}
-
-void JournalOptions::apply_env() {
-  // Compat shim: JOURNAL_CRASH_AFTER predates the failpoint registry and
-  // stays supported because it arms a *per-instance* counter — test loops
-  // that open many journals in one process rely on that isolation. New
-  // code should arm `journal.crash=after(n)return()` instead (same
-  // semantics, process-wide; see docs/fault-injection.md).
-  if (const char* v = std::getenv("JOURNAL_CRASH_AFTER")) {
-    crash_after_frames = std::strtol(v, nullptr, 10);
-  }
 }
 
 Journal::Journal(Clock& clock, JournalOptions options)

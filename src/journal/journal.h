@@ -27,8 +27,8 @@
 // frame write tears mid-frame, un-fsynced bytes are discarded (emulating
 // page-cache loss), and the journal goes dead — every later append or
 // commit fails. Tests reopen the directory and assert replay converges
-// to exactly the acknowledged prefix. nestd wires the JOURNAL_CRASH_AFTER
-// environment variable to this knob for out-of-process harnesses.
+// to exactly the acknowledged prefix. Out-of-process harnesses arm the
+// equivalent `journal.crash` failpoint instead.
 #pragma once
 
 #include <cstdint>
@@ -58,16 +58,13 @@ struct JournalOptions {
   SyncMode sync = SyncMode::always;
   Nanos commit_interval = 5 * kMillisecond;  // group-commit fsync cadence
   std::int64_t segment_bytes = 4 * 1024 * 1024;  // roll threshold
-  // Legacy per-instance crash point: tear the (N+1)th frame written to
-  // the OS and go dead. -1 disables. New code should arm the process-wide
-  // `journal.crash=after(n)return()` failpoint instead (same tear
-  // semantics); this counter remains for test loops that need per-journal
+  // Per-instance crash point: tear the (N+1)th frame written to the OS
+  // and go dead. -1 disables. The process-wide
+  // `journal.crash=after(n)return()` failpoint has the same tear
+  // semantics; this counter serves test loops that need per-journal
   // isolation. Additional journal failpoints: journal.append,
   // journal.write, journal.fsync, journal.segment_roll, journal.snapshot.
   long crash_after_frames = -1;
-
-  // Compat shim: overlay JOURNAL_CRASH_AFTER from the environment.
-  void apply_env();
 };
 
 struct JournalStats {

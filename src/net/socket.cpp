@@ -5,6 +5,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/sendfile.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -305,11 +306,21 @@ Result<TcpListener> TcpListener::bind(uint16_t port,
 }
 
 Result<TcpStream> TcpListener::accept() {
+  // An idle acceptor wakes this often to re-check net.accept_err, so a
+  // drill armed while no client connects still takes effect.
+  constexpr int kIdleWakeMs = 50;
   while (true) {
     // Injected accept *errors* (net.accept_err) model fd exhaustion —
     // EMFILE and friends — before the kernel hands us a connection; the
     // pending connection stays in the backlog for the post-backoff retry.
     NEST_FAILPOINT("net.accept_err", return err);
+    pollfd pfd{fd_.get(), POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, kIdleWakeMs);
+    if (ready == 0) continue;
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      return sys_error("poll");
+    }
     const int cfd = ::accept(fd_.get(), nullptr, nullptr);
     if (cfd >= 0) {
       // Injected accept failure drops the fresh connection instead of

@@ -1,79 +1,27 @@
 #include "protocol/executor.h"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <optional>
 #include <thread>
 #include <vector>
 
-#include "common/log.h"
 #include "fault/failpoint.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
 
 namespace nest::protocol {
 
-using transfer::ConcurrencyModel;
 using transfer::Direction;
 using transfer::TransferRequest;
 
-EventLoop::EventLoop(int workers) {
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { run(); });
-  }
-}
-
-EventLoop::~EventLoop() {
-  {
-    MutexLock lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void EventLoop::run() {
-  MutexLock lock(mu_);
-  while (true) {
-    cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    if (stop_) return;
-    std::function<void()>* fn = queue_.front();
-    queue_.pop_front();
-    lock.unlock();
-    (*fn)();
-    lock.lock();
-    cv_.notify_all();  // wake the submitter waiting on completion
-  }
-}
-
-void EventLoop::run_sync(const std::function<void()>& fn) {
-  bool done = false;
-  std::function<void()> wrapped = [&fn, &done] {
-    fn();
-    done = true;
-  };
-  MutexLock lock(mu_);
-  queue_.push_back(&wrapped);
-  cv_.notify_all();
-  cv_.wait(lock, [&done] { return done; });
-}
-
-TransferExecutor::TransferExecutor(Clock& clock,
-                                   transfer::TransferManager& tm,
-                                   transfer::TransferCore& core,
+TransferExecutor::TransferExecutor(Clock& clock, transfer::TransferCore& core,
                                    std::int64_t block_bytes,
                                    std::int64_t max_total_bw)
     : clock_(clock),
-      tm_(tm),
       core_(core),
       block_bytes_(block_bytes),
-      max_total_bw_(max_total_bw),
-      loop_(1),
-      disk_stage_(2),
-      net_stage_(2) {}
+      max_total_bw_(max_total_bw) {}
 
 void TransferExecutor::throttle(std::int64_t bytes) {
   if (max_total_bw_ <= 0 || bytes <= 0) return;
@@ -93,24 +41,6 @@ void TransferExecutor::throttle(std::int64_t bytes) {
   }
 }
 
-Status TransferExecutor::run_block(ConcurrencyModel model,
-                                   const std::function<Status()>& work) {
-  if (model == ConcurrencyModel::events) {
-    Status result;
-    loop_.run_sync([&] { result = work(); });
-    return result;
-  }
-  if (model == ConcurrencyModel::staged) {
-    // Single-stage work (NFS block ops) runs on the disk stage.
-    Status result;
-    disk_stage_.run_sync([&] { result = work(); });
-    return result;
-  }
-  // threads (and the per-block fallback for processes): run inline on the
-  // connection thread.
-  return work();
-}
-
 Status TransferExecutor::move_blocks(const std::string& protocol,
                                      const storage::TransferTicket& ticket,
                                      net::TcpStream& stream,
@@ -122,203 +52,78 @@ Status TransferExecutor::move_blocks(const std::string& protocol,
       core_.create_request(protocol,
                            send ? Direction::read : Direction::write,
                            ticket.path, size, ticket.user);
-  ConcurrencyModel model = core_.pick_model();
-  // Receives cannot be delegated to a forked child (its memory writes
-  // would be lost); fall back to the thread path for them.
-  if (model == ConcurrencyModel::processes && !send) {
-    model = ConcurrencyModel::threads;
-  }
   const Nanos start = clock_.now();
   Status result;
-
-  // transfer.grant models the scheduler refusing (or stalling) a block
-  // admission — fired before every acquire so an armed point starves the
-  // transfer, not the slot accounting.
-  std::optional<Error> grant_err;
-  if (model == ConcurrencyModel::processes) {
-    // Whole-transfer delegation: one admission, then a child streams the
-    // file (wu-ftpd style). Block-level rescheduling does not apply to a
-    // transfer once handed to a process.
+  std::vector<char> buf(static_cast<std::size_t>(block_bytes_));
+  // Zero-copy is decided per transfer: the first sendfile_map that
+  // answers `unsupported` (MemFs, memory-backed ExtentFs) pins the rest
+  // of this transfer to the buffered path — no per-block re-probing.
+  bool try_zero_copy = send && net::zero_copy_enabled();
+  std::int64_t off = 0;
+  while (off < size) {
+    const std::int64_t len = std::min(block_bytes_, size - off);
+    const std::span<char> block(buf.data(), static_cast<std::size_t>(len));
+    obs::Span qspan(obs::Layer::transfer, "quantum");
+    qspan.set_value(len);
+    // transfer.grant models the scheduler refusing (or stalling) a block
+    // admission — fired before every acquire so an armed point starves the
+    // transfer, not the slot accounting.
+    std::optional<Error> grant_err;
     NEST_FAILPOINT("transfer.grant", grant_err = err);
     if (grant_err) {
       result = Status{*grant_err};
-      core_.complete(req);
-      record_request(protocol, clock_.now() - start, false);
-      return result;
+      break;
     }
     core_.acquire(req);
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      std::vector<char> buf(static_cast<std::size_t>(block_bytes_));
-      std::int64_t off = 0;
-      bool zero_copy = net::zero_copy_enabled();
-      while (off < size) {
-        const std::int64_t len = std::min(block_bytes_, size - off);
-        bool block_sent = false;
-        if (zero_copy) {
-          auto segs = ticket.handle->sendfile_map(start_offset + off, len);
-          if (segs.ok()) {
-            std::int64_t mapped = 0;
-            for (const auto& seg : *segs) mapped += seg.len;
-            if (mapped != len) ::_exit(1);
-            for (const auto& seg : *segs) {
-              auto sent = stream.send_file(seg.fd, seg.offset, seg.len);
-              if (!sent.ok() || *sent != seg.len) ::_exit(1);
-            }
-            block_sent = true;
-          } else if (segs.error().code == Errc::unsupported) {
-            zero_copy = false;
-          } else {
-            ::_exit(1);
-          }
-        }
-        if (!block_sent) {
-          auto n = ticket.handle->pread(
-              std::span(buf.data(), static_cast<std::size_t>(len)),
-              start_offset + off);
-          if (!n.ok() || *n != len) ::_exit(1);
-          if (!stream.write_all(std::span<const char>(
-                                    buf.data(),
-                                    static_cast<std::size_t>(len)))
-                   .ok()) {
-            ::_exit(1);
-          }
-        }
-        off += len;
+    // Sends go kernel-to-kernel when the backend lends an fd: map this
+    // block onto volume/file segments and sendfile each one. A map or
+    // send shorter than the admitted block means the file shrank under
+    // the transfer — same "short file read" the buffered path reports.
+    const std::int64_t at = start_offset + off;
+    auto move_block = [&]() -> Status {
+      if (!send) {
+        if (auto r = stream.read_exact(block); !r.ok()) return r;
+        auto n = ticket.handle->pwrite(block, at);
+        return n.ok() ? Status{} : Status{n.error()};
       }
-      ::_exit(0);
-    }
-    if (pid < 0) {
-      result = Status{Errc::internal, "fork failed"};
-    } else {
-      int wstatus = 0;
-      ::waitpid(pid, &wstatus, 0);
-      const bool ok = WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0;
-      result = ok ? Status{}
-                  : Status{Errc::io_error, "transfer child failed"};
-    }
-    core_.release();
-    if (result.ok()) core_.charge(req, size);
-  } else {
-    std::vector<char> buf(static_cast<std::size_t>(block_bytes_));
-    // Zero-copy is decided per transfer: the first sendfile_map that
-    // answers `unsupported` (MemFs, memory-backed ExtentFs) pins the rest
-    // of this transfer to the buffered path — no per-block re-probing.
-    bool try_zero_copy = send && net::zero_copy_enabled();
-    std::int64_t off = 0;
-    while (off < size) {
-      const std::int64_t len = std::min(block_bytes_, size - off);
-      obs::Span qspan(obs::Layer::transfer, "quantum");
-      qspan.set_value(len);
-      NEST_FAILPOINT("transfer.grant", grant_err = err);
-      if (grant_err) {
-        result = Status{*grant_err};
-        break;
-      }
-      core_.acquire(req);
-      auto file_part = [&]() -> Status {
-        if (send) {
-          auto n = ticket.handle->pread(
-              std::span(buf.data(), static_cast<std::size_t>(len)),
-              start_offset + off);
-          if (!n.ok()) return Status{n.error()};
-          if (*n != len) return Status{Errc::io_error, "short file read"};
+      if (try_zero_copy) {
+        auto segs = ticket.handle->sendfile_map(at, len);
+        if (segs.ok()) {
+          std::int64_t mapped = 0;
+          for (const auto& seg : *segs) mapped += seg.len;
+          if (mapped != len) return Status{Errc::io_error, "short file read"};
+          for (const auto& seg : *segs) {
+            auto sent = stream.send_file(seg.fd, seg.offset, seg.len);
+            if (!sent.ok()) return Status{sent.error()};
+            if (*sent != seg.len)
+              return Status{Errc::io_error, "short file read"};
+          }
           return {};
         }
-        auto n = ticket.handle->pwrite(
-            std::span<const char>(buf.data(), static_cast<std::size_t>(len)),
-            start_offset + off);
-        return n.ok() ? Status{} : Status{n.error()};
-      };
-      auto net_part = [&]() -> Status {
-        if (send) {
-          return stream.write_all(std::span<const char>(
-              buf.data(), static_cast<std::size_t>(len)));
-        }
-        return stream.read_exact(
-            std::span(buf.data(), static_cast<std::size_t>(len)));
-      };
-      // Sends go kernel-to-kernel when the backend lends an fd: map this
-      // block onto volume/file segments and sendfile each one. A map or
-      // send shorter than the admitted block means the file shrank under
-      // the transfer — same "short file read" the buffered path reports.
-      auto send_part = [&]() -> Status {
-        if (try_zero_copy) {
-          auto segs = ticket.handle->sendfile_map(start_offset + off, len);
-          if (segs.ok()) {
-            std::int64_t mapped = 0;
-            for (const auto& seg : *segs) mapped += seg.len;
-            if (mapped != len)
-              return Status{Errc::io_error, "short file read"};
-            for (const auto& seg : *segs) {
-              auto sent = stream.send_file(seg.fd, seg.offset, seg.len);
-              if (!sent.ok()) return Status{sent.error()};
-              if (*sent != seg.len)
-                return Status{Errc::io_error, "short file read"};
-            }
-            return {};
-          }
-          if (segs.error().code != Errc::unsupported)
-            return Status{segs.error()};
-          try_zero_copy = false;
-        }
-        if (auto fs_ = file_part(); !fs_.ok()) return fs_;
-        return net_part();
-      };
-      Status s;
-      if (model == ConcurrencyModel::staged) {
-        // SEDA-style: each half runs on its stage's pool; a blocking file
-        // read in one request never stalls another request's send.
-        auto run_stage = [](EventLoop& stage,
-                            const std::function<Status()>& part) {
-          Status r;
-          stage.run_sync([&] { r = part(); });
-          return r;
-        };
-        if (send) {
-          if (try_zero_copy) {
-            // Zero-copy has no separate disk half — the kernel does both
-            // sides of the move — so the block runs on the network stage.
-            s = run_stage(net_stage_, send_part);
-          } else {
-            s = run_stage(disk_stage_, file_part);
-            if (s.ok()) s = run_stage(net_stage_, net_part);
-          }
-        } else {
-          s = run_stage(net_stage_, net_part);
-          if (s.ok()) s = run_stage(disk_stage_, file_part);
-        }
-      } else {
-        s = run_block(model, [&]() -> Status {
-          if (send) return send_part();
-          if (auto ns_ = net_part(); !ns_.ok()) return ns_;
-          return file_part();
-        });
+        if (segs.error().code != Errc::unsupported)
+          return Status{segs.error()};
+        try_zero_copy = false;
       }
-      if (s.ok()) throttle(len);  // bandwidth cap binds while slot is held
-      // Charge before releasing the slot so the next scheduling decision
-      // sees this block's bytes (stale passes skew proportional shares).
-      if (s.ok()) core_.charge(req, len);
-      core_.release();
-      if (!s.ok()) {
-        result = s;
-        break;
-      }
-      off += len;
+      auto n = ticket.handle->pread(block, at);
+      if (!n.ok()) return Status{n.error()};
+      if (*n != len) return Status{Errc::io_error, "short file read"};
+      return stream.write_all(block);
+    };
+    const Status s = move_block();
+    if (s.ok()) throttle(len);  // bandwidth cap binds while slot is held
+    // Charge before releasing the slot so the next scheduling decision
+    // sees this block's bytes (stale passes skew proportional shares).
+    if (s.ok()) core_.charge(req, len);
+    core_.release();
+    if (!s.ok()) {
+      result = s;
+      break;
     }
+    off += len;
   }
 
-  const Nanos elapsed = clock_.now() - start;
-  if (result.ok()) {
-    const double secs = to_seconds(elapsed);
-    if (tm_.options().adapt.metric == transfer::AdaptMetric::latency) {
-      core_.report_model(model, static_cast<double>(elapsed));
-    } else if (secs > 0) {
-      core_.report_model(model, static_cast<double>(size) / secs);
-    }
-  }
   core_.complete(req);
-  record_request(protocol, elapsed, result.ok());
+  record_request(protocol, clock_.now() - start, result.ok());
   return result;
 }
 
@@ -362,8 +167,6 @@ Result<std::int64_t> TransferExecutor::recv_until_eof(
   const Nanos start = clock_.now();
   TransferRequest* req = core_.create_request(
       protocol, Direction::write, ticket.path, /*size=*/0, ticket.user);
-  ConcurrencyModel model = core_.pick_model();
-  if (model == ConcurrencyModel::processes) model = ConcurrencyModel::threads;
   std::vector<char> buf(static_cast<std::size_t>(block_bytes_));
   std::int64_t off = 0;
   Status result;
@@ -377,16 +180,19 @@ Result<std::int64_t> TransferExecutor::recv_until_eof(
     }
     core_.acquire(req);
     std::int64_t got = 0;
-    const Status s = run_block(model, [&]() -> Status {
-      auto n = stream.read_some(std::span(buf.data(), buf.size()));
-      if (!n.ok()) return Status{n.error()};
-      got = *n;
-      if (got == 0) return {};  // orderly close
-      auto w = ticket.handle->pwrite(
-          std::span<const char>(buf.data(), static_cast<std::size_t>(got)),
-          off);
-      return w.ok() ? Status{} : Status{w.error()};
-    });
+    Status s;
+    auto n = stream.read_some(std::span(buf.data(), buf.size()));
+    if (!n.ok()) {
+      s = Status{n.error()};
+    } else {
+      got = *n;  // 0: orderly close
+      if (got > 0) {
+        auto w = ticket.handle->pwrite(
+            std::span<const char>(buf.data(), static_cast<std::size_t>(got)),
+            off);
+        if (!w.ok()) s = Status{w.error()};
+      }
+    }
     if (s.ok() && got > 0) {
       throttle(got);
       core_.charge(req, got);
@@ -415,8 +221,6 @@ Result<std::int64_t> TransferExecutor::read_block(
   TransferRequest* req = core_.create_request(
       protocol, Direction::read, ticket.path,
       static_cast<std::int64_t>(buf.size()), ticket.user);
-  ConcurrencyModel model = core_.pick_model();
-  if (model == ConcurrencyModel::processes) model = ConcurrencyModel::threads;
   {
     std::optional<Error> grant_err;
     NEST_FAILPOINT("transfer.grant", grant_err = err);
@@ -427,16 +231,11 @@ Result<std::int64_t> TransferExecutor::read_block(
     }
   }
   core_.acquire(req);
-  Result<std::int64_t> n = std::int64_t{0};
-  const Status s = run_block(model, [&]() -> Status {
-    n = ticket.handle->pread(buf, offset);
-    return n.ok() ? Status{} : Status{n.error()};
-  });
-  if (s.ok() && n.ok()) core_.charge(req, *n);
+  Result<std::int64_t> n = ticket.handle->pread(buf, offset);
+  if (n.ok()) core_.charge(req, *n);
   core_.release();
   core_.complete(req);
-  record_request(protocol, clock_.now() - start, s.ok() && n.ok());
-  if (!s.ok()) return s.error();
+  record_request(protocol, clock_.now() - start, n.ok());
   return n;
 }
 
@@ -449,8 +248,6 @@ Result<std::int64_t> TransferExecutor::write_block(
   TransferRequest* req = core_.create_request(
       protocol, Direction::write, ticket.path,
       static_cast<std::int64_t>(buf.size()), ticket.user);
-  ConcurrencyModel model = core_.pick_model();
-  if (model == ConcurrencyModel::processes) model = ConcurrencyModel::threads;
   {
     std::optional<Error> grant_err;
     NEST_FAILPOINT("transfer.grant", grant_err = err);
@@ -461,16 +258,11 @@ Result<std::int64_t> TransferExecutor::write_block(
     }
   }
   core_.acquire(req);
-  Result<std::int64_t> n = std::int64_t{0};
-  const Status s = run_block(model, [&]() -> Status {
-    n = ticket.handle->pwrite(buf, offset);
-    return n.ok() ? Status{} : Status{n.error()};
-  });
-  if (s.ok() && n.ok()) core_.charge(req, *n);
+  Result<std::int64_t> n = ticket.handle->pwrite(buf, offset);
+  if (n.ok()) core_.charge(req, *n);
   core_.release();
   core_.complete(req);
-  record_request(protocol, clock_.now() - start, s.ok() && n.ok());
-  if (!s.ok()) return s.error();
+  record_request(protocol, clock_.now() - start, n.ok());
   return n;
 }
 

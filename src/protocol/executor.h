@@ -5,50 +5,21 @@
 // TransferRequest, then moves data one block at a time; each block is
 // admitted by the TransferCore in the order the configured scheduler
 // decides (charge/complete also go straight to the core's lock-free
-// accounting path).
-// The selected concurrency model determines *where* the block work runs:
-//   threads   — on the calling connection thread (thread-per-connection);
-//   events    — serialized onto the single event-loop worker;
-//   processes — the whole transfer is delegated to a forked child
-//               (classic wu-ftpd style; charging happens on completion).
+// accounting path). The block work itself runs on the calling connection
+// thread. The paper's other concurrency models (processes, events, staged)
+// and the adaptive choice among them live on the simulation substrate
+// (simnest::SimNest), whose platform cost profiles reproduce Figure 5.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <thread>
-#include <vector>
 
 #include "common/clock.h"
 #include "common/mutex.h"
 #include "net/socket.h"
 #include "storage/storage_manager.h"
 #include "transfer/core.h"
-#include "transfer/transfer_manager.h"
 
 namespace nest::protocol {
-
-// Worker pool executing closures in FIFO order. With one worker it is the
-// "event loop" of the events concurrency model; with a few workers it is a
-// SEDA-style stage (the staged model runs a disk stage and a network stage,
-// each a small pool, with this queue as the inter-stage channel).
-class EventLoop {
- public:
-  explicit EventLoop(int workers = 1);
-  ~EventLoop();
-  // Run `fn` on the pool and wait for it (the caller is a connection
-  // thread standing in for a state machine continuation).
-  void run_sync(const std::function<void()>& fn);
-
- private:
-  void run();
-  Mutex mu_{lockrank::Rank::executor_queue, "eventloop.mu"};
-  CondVar cv_;
-  std::deque<std::function<void()>*> queue_ GUARDED_BY(mu_);
-  bool stop_ GUARDED_BY(mu_) = false;
-  // Started in the constructor body, after every member they touch exists.
-  std::vector<std::thread> workers_;
-};
 
 class TransferExecutor {
  public:
@@ -56,8 +27,7 @@ class TransferExecutor {
   // transfer rate with a token bucket: an administrator knob, and the
   // mechanism that makes scheduling policies bind even when the physical
   // network is faster than the configured service rate.
-  TransferExecutor(Clock& clock, transfer::TransferManager& tm,
-                   transfer::TransferCore& core,
+  TransferExecutor(Clock& clock, transfer::TransferCore& core,
                    std::int64_t block_bytes = 64 * 1024,
                    std::int64_t max_total_bw = 0);
 
@@ -108,9 +78,6 @@ class TransferExecutor {
                      const storage::TransferTicket& ticket,
                      net::TcpStream& stream, std::int64_t size, bool send,
                      std::int64_t start_offset = 0);
-  NEST_NODISCARD
-  Status run_block(transfer::ConcurrencyModel model,
-                   const std::function<Status()>& work);
   // Request/error counters + latency histograms for one finished request.
   void record_request(const std::string& protocol, Nanos elapsed, bool ok);
   // Token bucket: returns after this block's share of the configured
@@ -118,15 +85,11 @@ class TransferExecutor {
   void throttle(std::int64_t bytes);
 
   Clock& clock_;
-  transfer::TransferManager& tm_;
   transfer::TransferCore& core_;
   std::int64_t block_bytes_;
   std::int64_t max_total_bw_;
   Mutex throttle_mu_{lockrank::Rank::executor_throttle, "executor.throttle"};
   Nanos next_send_time_ GUARDED_BY(throttle_mu_) = 0;
-  EventLoop loop_;        // the single loop of the events model
-  EventLoop disk_stage_;  // staged model: file-I/O stage pool
-  EventLoop net_stage_;   // staged model: socket-I/O stage pool
 };
 
 }  // namespace nest::protocol

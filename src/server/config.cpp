@@ -4,18 +4,6 @@
 
 namespace nest::server {
 
-namespace {
-
-Result<transfer::ConcurrencyModel> model_by_name(const std::string& name) {
-  if (name == "threads") return transfer::ConcurrencyModel::threads;
-  if (name == "processes") return transfer::ConcurrencyModel::processes;
-  if (name == "events") return transfer::ConcurrencyModel::events;
-  if (name == "staged") return transfer::ConcurrencyModel::staged;
-  return Error{Errc::invalid_argument, "unknown model '" + name + "'"};
-}
-
-}  // namespace
-
 Result<NestdConfig> options_from_config(const Config& cfg) {
   NestdConfig out;
   NestServerOptions& opts = out.options;
@@ -159,23 +147,6 @@ Result<NestdConfig> options_from_config(const Config& cfg) {
     }
   }
   opts.tm.scheduler = scheduler;
-  opts.tm.adaptive = cfg.get_bool("adaptive", true);
-
-  // models = threads,events[,processes,staged]: restrict/extend the set
-  // the adaptive selector rotates through (or pick the fixed model when
-  // adaptive = false: first entry wins).
-  if (cfg.has("models")) {
-    std::vector<transfer::ConcurrencyModel> models;
-    for (const auto& name : split(cfg.get_string("models"), ',')) {
-      auto m = model_by_name(std::string(trim(name)));
-      if (!m.ok()) return m.error();
-      models.push_back(*m);
-    }
-    if (models.empty())
-      return Error{Errc::invalid_argument, "models list is empty"};
-    opts.tm.adapt.enabled = models;
-    opts.tm.fixed_model = models.front();
-  }
 
   for (const auto& [key, value] : cfg.entries()) {
     if (key.rfind("user.", 0) == 0) {

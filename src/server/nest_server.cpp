@@ -137,8 +137,6 @@ Status NestServer::init() {
     jopts.dir = options_.journal_dir;
     jopts.sync = options_.journal_sync;
     jopts.commit_interval = options_.journal_commit_interval;
-    jopts.apply_env();  // JOURNAL_CRASH_AFTER compat shim (see journal.h);
-                        // new drills use journal.* failpoints instead
     auto j = journal::Journal::open(RealClock::instance(), jopts);
     if (!j.ok()) return Status{j.error()};
     journal_ = std::move(j.value());
@@ -160,7 +158,7 @@ Status NestServer::init() {
   dispatcher_ = std::make_unique<dispatcher::Dispatcher>(
       RealClock::instance(), *storage_, *tm_, dopts);
   executor_ = std::make_unique<protocol::TransferExecutor>(
-      RealClock::instance(), *tm_, dispatcher_->core(),
+      RealClock::instance(), dispatcher_->core(),
       options_.block_bytes, options_.bandwidth_limit);
 
   if (storage_->cold_tier_attached()) {
@@ -318,17 +316,30 @@ void NestServer::accept_loop(net::TcpListener* listener,
     backoff.reset();
     // Timeout setup is advisory: a stream without it still works.
     (void)stream->set_read_timeout(options_.idle_timeout_ms);
-    MutexLock lock(conn_mu_);
-    const int fd = stream->fd();
-    conn_fds_.insert(fd);
-    connections_.emplace_back(
-        [this, handler, fd, s = std::move(stream.value())]() mutable {
-          handler->serve(s);
-          // The lambda still owns the stream, so the fd stays open (and
-          // thus unrecycled) until after it is unregistered.
-          MutexLock inner(conn_mu_);
-          conn_fds_.erase(fd);
-        });
+    std::list<std::thread> finished;
+    {
+      MutexLock lock(conn_mu_);
+      // Reap handlers that have returned since the last accept, so a
+      // finished connection does not keep its thread's stack mapped.
+      for (const auto it : finished_)
+        finished.splice(finished.end(), connections_, it);
+      finished_.clear();
+      const int fd = stream->fd();
+      conn_fds_.insert(fd);
+      // The thread cannot reach its epilogue before this lock is dropped,
+      // so `it` is assigned by the time the handler records it.
+      const auto it = connections_.emplace(connections_.end());
+      *it = std::thread(
+          [this, handler, fd, it, s = std::move(stream.value())]() mutable {
+            handler->serve(s);
+            // The lambda still owns the stream, so the fd stays open (and
+            // thus unrecycled) until after it is unregistered.
+            MutexLock inner(conn_mu_);
+            conn_fds_.erase(fd);
+            finished_.push_back(it);
+          });
+    }
+    for (std::thread& t : finished) t.join();
   }
 }
 
@@ -341,7 +352,7 @@ void NestServer::stop() {
     if (ep.acceptor.joinable()) ep.acceptor.join();
   }
   if (nfs_) nfs_->stop();
-  std::vector<std::thread> conns;
+  std::list<std::thread> conns;
   {
     MutexLock lock(conn_mu_);
     conns.swap(connections_);
@@ -350,6 +361,10 @@ void NestServer::stop() {
   }
   for (std::thread& t : conns) {
     if (t.joinable()) t.join();
+  }
+  {
+    MutexLock lock(conn_mu_);
+    finished_.clear();  // its iterators pointed into `conns`
   }
   if (dispatcher_) dispatcher_->stop_publishing();
 }

@@ -3,14 +3,15 @@
 // One TCP listener per enabled protocol — the protocol layer invokes the
 // handler for the connecting port (paper Section 2.2) — plus a UDP
 // endpoint for NFS/ONC-RPC. Each accepted connection is served on its own
-// thread by its protocol handler; all handlers share one storage manager,
-// one dispatcher, one transfer manager (scheduling + adaptive concurrency)
-// and one GSI registry.
+// thread by its protocol handler, which also moves that connection's
+// transfer blocks; all handlers share one storage manager, one dispatcher,
+// one transfer manager (scheduling) and one GSI registry.
 #pragma once
 
 #include <atomic>
-#include <set>
+#include <list>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -172,7 +173,11 @@ class NestServer {
   std::unique_ptr<protocol::NfsService> nfs_;  // UDP RPC service
 
   Mutex conn_mu_{lockrank::Rank::server_conn, "server.conn"};
-  std::vector<std::thread> connections_ GUARDED_BY(conn_mu_);
+  std::list<std::thread> connections_ GUARDED_BY(conn_mu_);
+  // Connections whose handler has returned; joined at the next accept
+  // (or by stop()).
+  std::vector<std::list<std::thread>::iterator> finished_
+      GUARDED_BY(conn_mu_);
   // Live connection sockets, for shutdown-on-stop.
   std::set<int> conn_fds_ GUARDED_BY(conn_mu_);
   std::atomic<bool> stopping_{false};

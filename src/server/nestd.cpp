@@ -10,8 +10,6 @@
 //   chirp_port  = 9094     http_port = 9080   ftp_port = 9021
 //   gridftp_port= 9811     nfs_port  = 9049   (-1 disables any of them)
 //   scheduler   = fifo | stride | stride-nwc | stride-user | cache-aware
-//   adaptive    = true
-//   models      = threads,events,processes,staged
 //   anonymous   = true
 //   slots       = 8
 //   bandwidth   = 400M                        (total rate cap; 0 = off)

@@ -14,8 +14,8 @@ using transfer::TransferRequest;
 SimNestConfig jbos_config() {
   SimNestConfig cfg;
   cfg.tm.scheduler = "fifo";
-  cfg.tm.adaptive = false;
-  cfg.tm.fixed_model = ConcurrencyModel::threads;
+  cfg.adaptive = false;
+  cfg.fixed_model = ConcurrencyModel::threads;
   cfg.dispatch_overhead = 0;  // native server: no virtual protocol layer
   return cfg;
 }
@@ -24,6 +24,7 @@ SimNest::SimNest(SimHost& host, SimNestConfig config)
     : host_(host),
       config_(config),
       tm_(host.engine().clock(), config.tm),
+      selector_(config.adapt),
       core_(tm_, config.service_slots),
       admission_(host.engine().clock(), config.admission),
       gate_(host.engine(), core_),
@@ -179,14 +180,19 @@ Nanos SimNest::model_setup_cost(ConcurrencyModel model) const {
   return 0;
 }
 
+ConcurrencyModel SimNest::pick_model() {
+  return config_.adaptive ? selector_.pick() : config_.fixed_model;
+}
+
 void SimNest::report_completion(ConcurrencyModel model, Nanos latency,
                                 std::int64_t bytes) {
-  if (tm_.options().adapt.metric == transfer::AdaptMetric::latency) {
-    core_.report_model(model, static_cast<double>(latency));
+  if (!config_.adaptive) return;
+  if (config_.adapt.metric == transfer::AdaptMetric::latency) {
+    selector_.report(model, static_cast<double>(latency));
   } else {
     const double secs = to_seconds(latency);
-    core_.report_model(model,
-                       secs > 0 ? static_cast<double>(bytes) / secs : 0.0);
+    selector_.report(model,
+                     secs > 0 ? static_cast<double>(bytes) / secs : 0.0);
   }
 }
 
@@ -297,7 +303,7 @@ Co<bool> SimNest::client_get(ProtocolBehavior proto, std::string path,
 
   TransferRequest* req = core_.create_request(proto.name, Direction::read,
                                               path, file.size, user);
-  const ConcurrencyModel model = core_.pick_model();
+  const ConcurrencyModel model = pick_model();
   Nanos setup = model_setup_cost(model) + config_.dispatch_overhead;
 
   bool first = true;
@@ -341,7 +347,7 @@ Co<bool> SimNest::client_put(ProtocolBehavior proto, std::string path,
 
   TransferRequest* req = core_.create_request(proto.name, Direction::write,
                                               path, size, user);
-  const ConcurrencyModel model = core_.pick_model();
+  const ConcurrencyModel model = pick_model();
   Nanos setup = model_setup_cost(model) + config_.dispatch_overhead;
 
   bool first = true;

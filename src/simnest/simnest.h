@@ -1,16 +1,18 @@
 // SimNest: a NeST appliance bound to the discrete-event substrate.
 //
 // The policy brain is the *production* transfer::TransferCore — the same
-// lifecycle/admission core (and, under it, the same schedulers, adaptive
-// selector, and gray-box cache model) the real epoll server drives from
-// concurrent connection threads, here driven single-threaded by the event
-// engine. This class supplies the byte-moving substrate: simulated
-// clients call client_get/client_put; blocks pass through a service gate
-// whose admission order is decided by the core's scheduler; the chosen
-// concurrency model determines which simulated OS costs each block pays
-// (the event model serializes disk reads and copies behind a single loop;
-// threads/processes run concurrently but pay creation and context switch
-// costs).
+// lifecycle/admission core (and, under it, the same schedulers and
+// gray-box cache model) the real server drives from concurrent connection
+// threads, here driven single-threaded by the event engine. This class
+// supplies the byte-moving substrate: simulated clients call
+// client_get/client_put; blocks pass through a service gate whose
+// admission order is decided by the core's scheduler.
+//
+// The paper's concurrency models (Sections 4.1, 7.3) live here, not in
+// the real server: per request, the adaptive selector (or a fixed model)
+// decides which simulated OS costs each block pays (the event model
+// serializes disk reads and copies behind a single loop; threads/processes
+// run concurrently but pay creation and context switch costs).
 //
 // A JBOS native server (paper's comparison baseline) is the same machinery
 // with a fixed single protocol, FIFO scheduling, and no adaptation — built
@@ -29,6 +31,7 @@
 #include "sim/sync.h"
 #include "simnest/protocol_model.h"
 #include "simnest/simhost.h"
+#include "transfer/concurrency.h"
 #include "transfer/core.h"
 #include "transfer/transfer_manager.h"
 
@@ -36,6 +39,11 @@ namespace nest::simnest {
 
 struct SimNestConfig {
   transfer::TransferManager::Options tm;
+  // Concurrency-model selection: adapt across `adapt.enabled`, or run
+  // every request under `fixed_model`.
+  bool adaptive = true;
+  transfer::ConcurrencyModel fixed_model = transfer::ConcurrencyModel::threads;
+  transfer::AdaptiveSelector::Options adapt;
   // Concurrent block services admitted at once. Bounded so the scheduler's
   // queueing decisions matter, as in the real server's worker pool.
   int service_slots = 8;
@@ -101,6 +109,10 @@ class SimNest {
   transfer::TransferManager& tm() { return tm_; }
   transfer::TransferCore& core() { return core_; }
   transfer::AdmissionController& admission() { return admission_; }
+  // Concurrency model for the next request: the selector's pick, or
+  // `fixed_model` when not adaptive.
+  transfer::ConcurrencyModel pick_model();
+  transfer::AdaptiveSelector& selector() { return selector_; }
   SimHost& host() { return host_; }
 
  private:
@@ -171,6 +183,7 @@ class SimNest {
   SimHost& host_;
   SimNestConfig config_;
   transfer::TransferManager tm_;
+  transfer::AdaptiveSelector selector_;
   transfer::TransferCore core_;
   transfer::AdmissionController admission_;
   ServiceGate gate_;

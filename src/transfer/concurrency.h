@@ -7,6 +7,11 @@
 // administrator to choose, NeST "distributes requests among the
 // architectures equally at first, monitors their progress, and then slowly
 // biases requests toward the most effective choice."
+//
+// These live on the simulation substrate: simnest::SimNest owns the
+// selector and charges each model's costs from the platform profile
+// (sim/platform.h). The real server runs every transfer on its connection
+// thread.
 #pragma once
 
 #include <array>

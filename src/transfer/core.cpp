@@ -182,14 +182,4 @@ void TransferCore::pump() {
            handled);
 }
 
-ConcurrencyModel TransferCore::pick_model() {
-  MutexLock lock(sel_mu_);
-  return tm_.pick_model();
-}
-
-void TransferCore::report_model(ConcurrencyModel m, double metric_value) {
-  MutexLock lock(sel_mu_);
-  tm_.report_model(m, metric_value);
-}
-
 }  // namespace nest::transfer

@@ -5,7 +5,7 @@
 // that both substrates drive with the *same* policy behaviour:
 //
 //   * real mode: connection threads call acquire()/charge()/release()
-//     concurrently. Submissions and scheduler charges are pushed to
+//     concurrently, each moving its granted block inline. Submissions and scheduler charges are pushed to
 //     per-protocol-class shards (each with its own tiny lock) and
 //     batch-drained into the still single-writer scheduler by whichever
 //     thread holds the pump; a global sequence stamp restores exact
@@ -26,6 +26,9 @@
 //   release() — atomic slot increment + a pump attempt.
 // Only the pump (one thread at a time, elected by an atomic pending
 // counter) takes the scheduler lock.
+//
+// Choosing a concurrency model is not the core's job: only the simulated
+// appliance models more than one, and simnest::SimNest owns that selector.
 #pragma once
 
 #include <array>
@@ -79,10 +82,6 @@ class TransferCore {
   // Non-work-conserving hold hint from the scheduler (0 = none).
   Nanos hold_until() const { return tm_.hold_until(); }
 
-  // --- concurrency-model selection (thread-safe) ---
-  ConcurrencyModel pick_model();
-  void report_model(ConcurrencyModel m, double metric_value);
-
   int free_slots() const { return free_.load(std::memory_order_relaxed); }
   TransferManager& tm() { return tm_; }
 
@@ -132,8 +131,6 @@ class TransferCore {
   Mutex reg_mu_{lockrank::Rank::transfer_registry, "transfer.registry"};
   // Gray-box cache model (create/charge).
   Mutex cache_mu_{lockrank::Rank::transfer_cache, "transfer.cache"};
-  // Adaptive selector.
-  Mutex sel_mu_{lockrank::Rank::transfer_selector, "transfer.selector"};
   std::vector<Op> drain_buf_ GUARDED_BY(sched_mu_);
 };
 

@@ -48,6 +48,10 @@ class Scheduler {
 
   virtual bool empty() const = 0;
   virtual const char* name() const = 0;
+
+  // When next() held back a runnable request (non-work-conserving
+  // policies), the time worth retrying at; 0 = no hold.
+  virtual Nanos hold_until() const { return 0; }
 };
 
 class FifoScheduler final : public Scheduler {
@@ -127,8 +131,7 @@ class StrideScheduler final : public Scheduler {
     return opts_.work_conserving ? "stride" : "stride-nwc";
   }
 
-  // Suggested wait when next() held back (non-work-conserving only).
-  Nanos hold_until() const { return hold_until_; }
+  Nanos hold_until() const override { return hold_until_; }
 
   // --- scale observability (tests assert the O(active) bound) ---
   // Classes currently holding any state (active + retained inactive).

@@ -8,7 +8,6 @@ TransferManager::TransferManager(Clock& clock, Options options)
     : clock_(clock),
       options_(options),
       scheduler_(make_scheduler(options.scheduler, clock)),
-      selector_(options.adapt),
       cache_model_(options.cache_model_bytes, options.cache_model_page),
       latencies_(options.latency_samples_per_stripe) {
   assert(scheduler_ != nullptr && "unknown scheduler kind");
@@ -34,11 +33,6 @@ TransferRequest* TransferManager::create_request(const std::string& protocol,
   return raw;
 }
 
-Nanos TransferManager::hold_until() const {
-  const auto* s = dynamic_cast<const StrideScheduler*>(scheduler_.get());
-  return s ? s->hold_until() : 0;
-}
-
 void TransferManager::charge(TransferRequest* r, std::int64_t bytes) {
   r->done += bytes;
   account_bytes(r->protocol, bytes);
@@ -51,14 +45,6 @@ void TransferManager::complete(TransferRequest* r) {
   completed_.fetch_add(1, std::memory_order_relaxed);
   in_flight_.fetch_sub(1, std::memory_order_relaxed);
   requests_.erase(r->id);
-}
-
-ConcurrencyModel TransferManager::pick_model() {
-  return options_.adaptive ? selector_.pick() : options_.fixed_model;
-}
-
-void TransferManager::report_model(ConcurrencyModel m, double metric_value) {
-  if (options_.adaptive) selector_.report(m, metric_value);
 }
 
 StrideScheduler* TransferManager::stride() {

@@ -1,12 +1,12 @@
 // TransferManager: the policy heart of NeST's data movement (paper
-// Section 4). Substrate-agnostic: the real epoll server and the
-// discrete-event simulator both drive this same object, so the scheduling
-// and adaptation behaviour that the benchmarks measure is exactly the
-// behaviour the appliance ships.
+// Section 4). Substrate-agnostic: the real server and the discrete-event
+// simulator both drive this same object, so the scheduling behaviour that
+// the benchmarks measure is exactly the behaviour the appliance ships.
 //
 // Responsibilities here: request registry, scheduling policy (which
-// pending quantum is serviced next), concurrency-model selection, and
-// accounting. Actually moving bytes is the substrate's job.
+// pending quantum is serviced next), and accounting. Actually moving bytes
+// is the substrate's job (and, in the simulator, so is choosing a
+// concurrency model: simnest::SimNest owns the adaptive selector).
 //
 // Thread-safety: this object is a *single-threaded* policy brain. The
 // aggregate counters (total_bytes/completed/in_flight) are atomics so
@@ -27,7 +27,6 @@
 #include "common/metrics.h"
 #include "common/result.h"
 #include "transfer/cache_model.h"
-#include "transfer/concurrency.h"
 #include "transfer/request.h"
 #include "transfer/scheduler.h"
 
@@ -38,9 +37,6 @@ class TransferManager {
   struct Options {
     // fifo | stride | stride-nwc | stride-user | cache-aware
     std::string scheduler = "fifo";
-    bool adaptive = true;            // adapt the concurrency model?
-    ConcurrencyModel fixed_model = ConcurrencyModel::threads;  // if !adaptive
-    AdaptiveSelector::Options adapt;
     // Gray-box cache model sizing (estimate of the kernel cache).
     std::int64_t cache_model_bytes = 64LL * 1024 * 1024;
     std::int64_t cache_model_page = 8 * 1024;
@@ -60,7 +56,7 @@ class TransferManager {
   void enqueue(TransferRequest* r) { scheduler_->enqueue(r); }
   TransferRequest* next() { return scheduler_->next(); }
   // Non-work-conserving hold hint (0 = none).
-  Nanos hold_until() const;
+  Nanos hold_until() const { return scheduler_->hold_until(); }
   // Account bytes moved; feeds the scheduler, bandwidth meter, and the
   // gray-box cache model.
   void charge(TransferRequest* r, std::int64_t bytes);
@@ -78,11 +74,6 @@ class TransferManager {
     total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
     meter_.add(cls, bytes);
   }
-
-  // --- concurrency model selection ---
-  ConcurrencyModel pick_model();
-  void report_model(ConcurrencyModel m, double metric_value);
-  AdaptiveSelector& selector() { return selector_; }
 
   // --- policy access ---
   Scheduler& scheduler() { return *scheduler_; }
@@ -107,7 +98,6 @@ class TransferManager {
   Clock& clock_;
   Options options_;
   std::unique_ptr<Scheduler> scheduler_;
-  AdaptiveSelector selector_;
   CacheModel cache_model_;
   std::map<std::uint64_t, std::unique_ptr<TransferRequest>> requests_;
   std::uint64_t next_id_ = 1;

@@ -753,8 +753,6 @@ TEST_P(ServerChaos, MixedProtocolWorkloadSurvivesFaultSchedule) {
   fsys::create_directories(dir);
   server::NestServerOptions opts;
   opts.capacity = 8'000'000;
-  opts.tm.adaptive = false;
-  opts.tm.fixed_model = transfer::ConcurrencyModel::threads;
   opts.journal_dir = dir + "/journal";
   opts.ftp_port = -1;
   opts.gridftp_port = -1;
@@ -971,8 +969,6 @@ TEST_P(AdmissionStorm, AckedWritesSurviveOverloadShedding) {
   fsys::create_directories(dir);
   server::NestServerOptions opts;
   opts.capacity = 8'000'000;
-  opts.tm.adaptive = false;
-  opts.tm.fixed_model = transfer::ConcurrencyModel::threads;
   opts.journal_dir = dir + "/journal";
   opts.ftp_port = -1;
   opts.gridftp_port = -1;
@@ -1091,7 +1087,6 @@ TEST_P(ServerRestartChaos, AckedLotsSurviveServerRestartCycles) {
   fsys::create_directories(dir);
   server::NestServerOptions opts;
   opts.capacity = 4'000'000;
-  opts.tm.adaptive = false;
   opts.journal_dir = dir + "/journal";
   opts.http_port = -1;
   opts.ftp_port = -1;

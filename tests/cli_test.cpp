@@ -47,7 +47,6 @@ class CliTest : public ::testing::Test {
     fsys::create_directories(dir_);
     server::NestServerOptions opts;
     opts.capacity = 4'000'000;
-    opts.tm.adaptive = false;
     opts.journal_dir = dir_ + "/journal";
     opts.http_port = -1;
     opts.ftp_port = -1;

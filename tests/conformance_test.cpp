@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -107,7 +108,6 @@ class ConformanceTest : public ::testing::Test {
   void SetUp() override {
     server::NestServerOptions o;
     o.capacity = 50'000'000;
-    o.tm.adaptive = false;
     auto s = server::NestServer::start(std::move(o));
     ASSERT_TRUE(s.ok()) << s.error().to_string();
     server_ = std::move(*s);
@@ -440,7 +440,6 @@ class ConformanceSmallServerTest : public ::testing::Test {
   void SetUp() override {
     server::NestServerOptions o;
     o.capacity = 200'000;  // tiny appliance: space exhausts quickly
-    o.tm.adaptive = false;
     auto s = server::NestServer::start(std::move(o));
     ASSERT_TRUE(s.ok()) << s.error().to_string();
     server_ = std::move(*s);
@@ -518,7 +517,6 @@ class ConformanceColdTierTest : public ::testing::Test {
   void SetUp() override {
     server::NestServerOptions o;
     o.capacity = 50'000'000;
-    o.tm.adaptive = false;
     o.cold_backend = "mem";
     // No background worker: staging stays pending until the test recalls
     // explicitly, so the cold window is deterministic on every wire.
@@ -621,6 +619,38 @@ TEST_F(ConformanceSmallServerTest, LotExhaustionIsNoSpace) {
   auto over = c->put("/overlot", std::string(25'000, 'l'));
   ASSERT_FALSE(over.ok());
   EXPECT_EQ(over.code(), Errc::no_space);
+}
+
+// ---------- Connection-thread lifecycle ----------
+
+// VmSize of this process in KiB, from /proc/self/status (-1: absent).
+long vm_size_kib() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  return -1;
+}
+
+// Every connection is served on its own thread. A finished one must be
+// joined while the server runs, not only at stop(): until it is, its
+// stack (8 MiB by default) stays mapped, and a long-lived nestd's address
+// space grows with every connection it has ever served.
+TEST_F(ConformanceTest, FinishedConnectionThreadsAreReaped) {
+  constexpr int kConnections = 300;
+  const auto connect_and_close = [&] {
+    auto c = anon();
+    ASSERT_TRUE(c.ok()) << c.error().to_string();
+  };
+  for (int i = 0; i < 8; ++i) connect_and_close();  // warm the allocator
+  const long before = vm_size_kib();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < kConnections; ++i) connect_and_close();
+  const long grown_mib = (vm_size_kib() - before) / 1024;
+  // Unreaped, the 300 stacks alone would add ~2.4 GiB.
+  EXPECT_LT(grown_mib, 256) << "VmSize grew " << grown_mib << " MiB over "
+                            << kConnections << " sequential connections";
 }
 
 }  // namespace

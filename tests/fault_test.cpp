@@ -269,9 +269,9 @@ TEST_F(FaultDirTest, JournalAppendFailpointKillsTheJournal) {
   EXPECT_EQ(replayed, 1u);
 }
 
-// Regression for the JOURNAL_CRASH_AFTER subsumption: the failpoint spec
-// `journal.crash=after(n)return()` must reproduce the legacy counter's
-// semantics exactly — n frames durable, frame n+1 torn, journal dead.
+// The failpoint spec `journal.crash=after(n)return()` must reproduce the
+// per-journal crash_after_frames counter exactly — n frames durable,
+// frame n+1 torn, journal dead.
 TEST_F(FaultDirTest, JournalCrashFailpointMatchesLegacyCounter) {
   for (int n = 0; n <= 3; ++n) {
     auto count_recovered = [&](const std::string& jdir) {
@@ -393,8 +393,6 @@ class FaultServerTest : public FaultTest {
     FaultTest::SetUp();
     server::NestServerOptions opts;
     opts.capacity = 10'000'000;
-    opts.tm.adaptive = false;
-    opts.tm.fixed_model = transfer::ConcurrencyModel::threads;
     opts.http_port = -1;
     opts.ftp_port = -1;
     opts.gridftp_port = -1;

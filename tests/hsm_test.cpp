@@ -640,7 +640,7 @@ TEST_F(HsmTest, SimRecallStormPaysTapePenaltyOnce) {
   sim::Engine eng;
   simnest::SimHost host(eng, sim::PlatformProfile::linux2_2());
   simnest::SimNestConfig cfg;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   SimNest server(host, cfg);
   server.attach_cold_tier(sim::PlatformProfile::tape2002());
   server.add_cold_file("/tape", 2'000'000);
@@ -690,7 +690,7 @@ PacingRun run_pacing(std::int64_t live_tickets, std::int64_t mig_tickets,
   sim::Engine eng;
   simnest::SimHost host(eng, sim::PlatformProfile::linux2_2());
   simnest::SimNestConfig cfg;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   cfg.tm.scheduler = "stride";
   cfg.service_slots = 1;  // force every grant through the scheduler
   cfg.hsm_block = 64 * 1024;

@@ -4,7 +4,6 @@
 // `recovery` CTest label so tier-1 can rerun it under asan.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -12,7 +11,6 @@
 
 #include "client/chirp_client.h"
 #include "common/clock.h"
-#include "fault/failpoint.h"
 #include "journal/crc32c.h"
 #include "journal/journal.h"
 #include "journal/record.h"
@@ -259,69 +257,6 @@ TEST_F(JournalTest, GroupCommitBatchesFsyncs) {
                   })
                   .ok());
   EXPECT_EQ(count, static_cast<std::size_t>(kThreads * kPerThread));
-}
-
-TEST(JournalOptionsEnv, CrashAfterFromEnvironment) {
-  ::setenv("JOURNAL_CRASH_AFTER", "7", 1);
-  journal::JournalOptions opts;
-  opts.apply_env();
-  EXPECT_EQ(opts.crash_after_frames, 7);
-  ::unsetenv("JOURNAL_CRASH_AFTER");
-  opts.crash_after_frames = -1;
-  opts.apply_env();
-  EXPECT_EQ(opts.crash_after_frames, -1);
-}
-
-// Regression for the JOURNAL_CRASH_AFTER subsumption: the legacy env shim
-// and its replacement — NEST_FAILPOINTS=journal.crash=after(n)return() —
-// must produce identical torn-tail semantics end-to-end (n frames
-// acknowledged and recoverable, the journal dead afterwards).
-TEST_F(JournalTest, EnvCrashShimAndCrashFailpointAgree) {
-  const auto run = [&](const std::string& jdir) {
-    ManualClock clock;
-    journal::JournalOptions opts;
-    opts.dir = jdir;
-    opts.apply_env();  // legacy surface; a no-op for the failpoint run
-    auto j = journal::Journal::open(clock, opts);
-    EXPECT_TRUE(j.ok());
-    int acked = 0;
-    for (int i = 0; i < 6; ++i) {
-      if ((*j)->append_commit("rec" + std::to_string(i)).ok()) ++acked;
-    }
-    EXPECT_TRUE((*j)->dead());
-    return acked;
-  };
-  const auto recovered = [&](const std::string& jdir) {
-    ManualClock clock;
-    journal::JournalOptions opts;
-    opts.dir = jdir;
-    auto j = journal::Journal::open(clock, opts);
-    EXPECT_TRUE(j.ok());
-    std::size_t n = 0;
-    (void)(*j)->replay([&](journal::Lsn, std::string_view) {
-      ++n;
-      return Status{};
-    });
-    return n;
-  };
-
-  ::setenv("JOURNAL_CRASH_AFTER", "3", 1);
-  const int legacy_acked = run(dir_ + "_legacy");
-  ::unsetenv("JOURNAL_CRASH_AFTER");
-
-  fault::registry().disarm_all();
-  ::setenv("NEST_FAILPOINTS", "journal.crash=after(3)return()", 1);
-  fault::registry().apply_env();
-  ::unsetenv("NEST_FAILPOINTS");
-  const int fp_acked = run(dir_ + "_fp");
-  fault::registry().disarm_all();
-
-  EXPECT_EQ(legacy_acked, 3);
-  EXPECT_EQ(fp_acked, legacy_acked);
-  EXPECT_EQ(recovered(dir_ + "_legacy"), 3u);
-  EXPECT_EQ(recovered(dir_ + "_fp"), 3u);
-  fs::remove_all(dir_ + "_legacy");
-  fs::remove_all(dir_ + "_fp");
 }
 
 // ---------- storage manager recovery ----------
@@ -608,7 +543,6 @@ TEST_F(JournalTest, RebaseKeepsRemainingDuration) {
 TEST_F(JournalTest, ServerRestartPreservesLotsAndAcls) {
   server::NestServerOptions opts;
   opts.capacity = 1'000'000;
-  opts.tm.adaptive = false;
   opts.journal_dir = dir_;
   std::uint64_t lot_id = 0;
   {
@@ -661,7 +595,6 @@ TEST_F(JournalTest, ServerRestartPreservesLotsAndAcls) {
 
 TEST_F(JournalTest, ServerWithoutJournalRejectsJournalStat) {
   server::NestServerOptions opts;
-  opts.tm.adaptive = false;
   auto server = server::NestServer::start(opts);
   ASSERT_TRUE(server.ok());
   (*server)->gsi().add_user("alice", "s");

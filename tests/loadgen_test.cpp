@@ -203,10 +203,10 @@ void expect_same_offered_load(const std::vector<SessionTrace>& a,
 
 TEST(OpenLoopGenerator, OfferedLoadIsIndependentOfServerSpeed) {
   simnest::SimNestConfig fast;
-  fast.tm.adaptive = false;
+  fast.adaptive = false;
 
   simnest::SimNestConfig slow;
-  slow.tm.adaptive = false;
+  slow.adaptive = false;
   slow.service_slots = 1;
   slow.dispatch_overhead = 20 * kMillisecond;  // a crippled appliance
 
@@ -222,7 +222,7 @@ TEST(OpenLoopGenerator, OfferedLoadIsIndependentOfServerSpeed) {
 
 TEST(OpenLoopGenerator, SameSeedReproducesTheRunExactly) {
   simnest::SimNestConfig cfg;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   const auto a = run_against(cfg, small_run());
   const auto b = run_against(cfg, small_run());
   expect_same_offered_load(a.trace, b.trace);
@@ -236,7 +236,7 @@ TEST(OpenLoopGenerator, SameSeedReproducesTheRunExactly) {
 
 TEST(OpenLoopGenerator, DifferentSeedsOfferDifferentLoad) {
   simnest::SimNestConfig cfg;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   auto lg = small_run();
   const auto a = run_against(cfg, lg);
   lg.seed = 22;
@@ -252,7 +252,7 @@ TEST(OpenLoopGenerator, DifferentSeedsOfferDifferentLoad) {
 
 TEST(OpenLoopGenerator, CountsReconcileAndSessionsComplete) {
   simnest::SimNestConfig cfg;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   const auto out = run_against(cfg, small_run());
   EXPECT_EQ(out.stats.sessions_started, 400u);
   EXPECT_EQ(out.stats.sessions_finished, 400u);

@@ -307,7 +307,6 @@ class ObsServerTest : public ::testing::Test {
   static std::unique_ptr<server::NestServer> start_server() {
     server::NestServerOptions o;
     o.capacity = 50'000'000;
-    o.tm.adaptive = false;
     o.ftp_port = -1;
     o.gridftp_port = -1;
     o.nfs_port = -1;

@@ -260,7 +260,7 @@ OverloadResult run_overload(transfer::AdmissionOptions admission,
   sim::Engine eng;
   simnest::SimHost host(eng, sim::PlatformProfile::linux2_2());
   simnest::SimNestConfig cfg;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   cfg.admission = admission;
   simnest::SimNest server(host, cfg);
 
@@ -426,7 +426,7 @@ TEST(LoadScale, PopulationScaleRunCompletesInBoundedState) {
   sim::Engine eng;
   simnest::SimHost host(eng, sim::PlatformProfile::linux2_2());
   simnest::SimNestConfig cfg;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   cfg.tm.scheduler = "stride-user";
   cfg.admission.target_ms = 50.0;
   cfg.admission.max_queue = 32;

@@ -21,14 +21,9 @@ class ExecutorTest : public ::testing::Test {
  protected:
   ExecutorTest()
       : fs(RealClock::instance(), 100'000'000),
-        tm(RealClock::instance(),
-           [] {
-              transfer::TransferManager::Options o;
-              o.adaptive = false;
-              return o;
-            }()),
+        tm(RealClock::instance(), transfer::TransferManager::Options{}),
         core(tm, 4),
-        executor(RealClock::instance(), tm, core, /*block_bytes=*/8192) {}
+        executor(RealClock::instance(), core, /*block_bytes=*/8192) {}
 
   storage::TransferTicket make_ticket(const std::string& path,
                                       const std::string& contents) {
@@ -159,7 +154,6 @@ TEST(LocalFsServer, EndToEndOnHostFilesystem) {
   server::NestServerOptions opts;
   opts.root_dir = root.string();
   opts.capacity = 10'000'000;
-  opts.tm.adaptive = false;
   auto server = server::NestServer::start(opts);
   ASSERT_TRUE(server.ok()) << server.error().to_string();
   (*server)->gsi().add_user("alice", "s");
@@ -192,7 +186,6 @@ TEST(ExtentBackendServer, EndToEndOnExtentVolume) {
   opts.backend = "extent";
   opts.root_dir = vol.string();
   opts.capacity = 8'000'000;
-  opts.tm.adaptive = false;
   auto server = server::NestServer::start(opts);
   ASSERT_TRUE(server.ok()) << server.error().to_string();
   (*server)->gsi().add_user("alice", "s");
@@ -219,7 +212,6 @@ TEST(ExtentBackendServer, UnknownBackendRejected) {
 
 TEST(BandwidthCap, CapsAggregateTransferRate) {
   server::NestServerOptions opts;
-  opts.tm.adaptive = false;
   opts.bandwidth_limit = 20'000'000;  // 20 MB/s, far below loopback speed
   auto server = server::NestServer::start(opts);
   ASSERT_TRUE(server.ok());
@@ -243,7 +235,6 @@ TEST(BandwidthCap, CapsAggregateTransferRate) {
 
 TEST(BandwidthCap, UncappedByDefault) {
   server::NestServerOptions opts;
-  opts.tm.adaptive = false;
   auto server = server::NestServer::start(opts);
   ASSERT_TRUE(server.ok());
   (*server)->gsi().add_user("alice", "s");
@@ -264,7 +255,6 @@ TEST(BandwidthCap, UncappedByDefault) {
 
 TEST(ServerLifecycle, StopIsIdempotentAndFast) {
   server::NestServerOptions opts;
-  opts.tm.adaptive = false;
   auto server = server::NestServer::start(opts);
   ASSERT_TRUE(server.ok());
   const auto begin = std::chrono::steady_clock::now();
@@ -279,7 +269,6 @@ TEST(ServerLifecycle, DisabledProtocolsStayOff) {
   server::NestServerOptions opts;
   opts.http_port = -1;
   opts.nfs_port = -1;
-  opts.tm.adaptive = false;
   auto server = server::NestServer::start(opts);
   ASSERT_TRUE(server.ok());
   EXPECT_EQ((*server)->http_port(), 0);
@@ -290,7 +279,6 @@ TEST(ServerLifecycle, DisabledProtocolsStayOff) {
 
 TEST(ServerLifecycle, PeriodicPublishingRefreshesAds) {
   server::NestServerOptions opts;
-  opts.tm.adaptive = false;
   opts.name = "publisher-test";
   auto server = server::NestServer::start(opts);
   ASSERT_TRUE(server.ok());

@@ -27,7 +27,7 @@ TEST(SimNest, SingleCachedGetApproachesLinkBandwidth) {
   Engine eng;
   SimHost host(eng, PlatformProfile::linux2_2());
   SimNestConfig cfg;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   SimNest server(host, cfg);
   server.add_file("/f", 10'000'000, /*cached=*/true);
   Nanos done = 0;
@@ -45,7 +45,7 @@ TEST(SimNest, ColdGetIsDiskBound) {
   Engine eng;
   SimHost host(eng, PlatformProfile::linux2_2());
   SimNestConfig cfg;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   SimNest server(host, cfg);
   server.add_file("/cold", 10'000'000, /*cached=*/false);
   Nanos done = 0;
@@ -64,7 +64,7 @@ TEST(SimNest, NfsSlowerThanChirpForSameFile) {
     Engine eng;
     SimHost host(eng, PlatformProfile::linux2_2());
     SimNestConfig cfg;
-    cfg.tm.adaptive = false;
+    cfg.adaptive = false;
     SimNest server(host, cfg);
     server.add_file("/f", 5'000'000, true);
     Nanos done = 0;
@@ -87,7 +87,7 @@ TEST(SimNest, PutLandsInStore) {
   Engine eng;
   SimHost host(eng, PlatformProfile::linux2_2());
   SimNestConfig cfg;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   SimNest server(host, cfg);
   sim::spawn([](SimNest& s) -> Co<void> {
     co_await s.client_put(ProtocolBehavior::chirp(), "/out", 2'000'000);
@@ -102,7 +102,7 @@ TEST(SimNest, DeterministicAcrossRuns) {
     Engine eng;
     SimHost host(eng, PlatformProfile::linux2_2());
     SimNestConfig cfg;
-    cfg.tm.adaptive = false;
+    cfg.adaptive = false;
     SimNest server(host, cfg);
     WorkloadSpec spec;
     spec.duration = 5 * kSecond;
@@ -123,7 +123,7 @@ TEST(SimNest, StrideTicketsShiftBandwidth) {
     SimHost host(eng, PlatformProfile::linux2_2());
     SimNestConfig cfg;
     cfg.tm.scheduler = "stride";
-    cfg.tm.adaptive = false;
+    cfg.adaptive = false;
     // Fewer slots than clients, so the scheduler actually arbitrates.
     cfg.service_slots = 4;
     SimNest server(host, cfg);
@@ -145,8 +145,8 @@ TEST(SimNest, EventsModelSerializesColdReads) {
     Engine eng;
     SimHost host(eng, PlatformProfile::linux2_2());
     SimNestConfig cfg;
-    cfg.tm.adaptive = false;
-    cfg.tm.fixed_model = model;
+    cfg.adaptive = false;
+    cfg.fixed_model = model;
     SimNest server(host, cfg);
     WorkloadSpec spec;
     spec.duration = 30 * kSecond;
@@ -164,8 +164,8 @@ TEST(SimNest, EventsWinSmallCachedRequestsOnSolaris) {
     Engine eng;
     SimHost host(eng, PlatformProfile::solaris8());
     SimNestConfig cfg;
-    cfg.tm.adaptive = false;
-    cfg.tm.fixed_model = model;
+    cfg.adaptive = false;
+    cfg.fixed_model = model;
     SimNest server(host, cfg);
     WorkloadSpec spec;
     spec.duration = 10 * kSecond;
@@ -184,8 +184,8 @@ TEST(SimNest, StagedAvoidsBothWeaknesses) {
     Engine eng;
     SimHost host(eng, PlatformProfile::linux2_2());
     SimNestConfig cfg;
-    cfg.tm.adaptive = false;
-    cfg.tm.fixed_model = model;
+    cfg.adaptive = false;
+    cfg.fixed_model = model;
     SimNest server(host, cfg);
     WorkloadSpec spec;
     spec.duration = 30 * kSecond;
@@ -196,8 +196,8 @@ TEST(SimNest, StagedAvoidsBothWeaknesses) {
     Engine eng;
     SimHost host(eng, PlatformProfile::solaris8());
     SimNestConfig cfg;
-    cfg.tm.adaptive = false;
-    cfg.tm.fixed_model = model;
+    cfg.adaptive = false;
+    cfg.fixed_model = model;
     SimNest server(host, cfg);
     WorkloadSpec spec;
     spec.duration = 10 * kSecond;
@@ -216,25 +216,37 @@ TEST(SimNest, AdaptiveTracksBestModel) {
   Engine eng;
   SimHost host(eng, PlatformProfile::linux2_2());
   SimNestConfig cfg;
-  cfg.tm.adaptive = true;
-  cfg.tm.adapt.metric = transfer::AdaptMetric::throughput;
-  cfg.tm.adapt.enabled = {transfer::ConcurrencyModel::threads,
-                          transfer::ConcurrencyModel::events};
-  cfg.tm.adapt.warmup_per_model = 4;
+  cfg.adaptive = true;
+  cfg.adapt.metric = transfer::AdaptMetric::throughput;
+  cfg.adapt.enabled = {transfer::ConcurrencyModel::threads,
+                       transfer::ConcurrencyModel::events};
+  cfg.adapt.warmup_per_model = 4;
   SimNest server(host, cfg);
   WorkloadSpec spec;
   spec.duration = 60 * kSecond;
   spec.groups.push_back(ClientGroup{&server, "chirp", 4, 10'000'000, true, 12});
   (void)run_get_workload(eng, spec);
-  EXPECT_EQ(server.tm().selector().best(),
+  EXPECT_EQ(server.selector().best(),
             transfer::ConcurrencyModel::threads);
+}
+
+TEST(SimNest, FixedModelWhenNotAdaptive) {
+  Engine eng;
+  SimHost host(eng, PlatformProfile::linux2_2());
+  SimNestConfig cfg;
+  cfg.adaptive = false;
+  cfg.fixed_model = transfer::ConcurrencyModel::events;
+  SimNest server(host, cfg);
+  for (int i = 0; i < 10; ++i)
+    EXPECT_EQ(server.pick_model(), transfer::ConcurrencyModel::events);
+  EXPECT_EQ(server.selector().picks(transfer::ConcurrencyModel::events), 0);
 }
 
 TEST(Workload, WarmupExcludedFromWindow) {
   Engine eng;
   SimHost host(eng, PlatformProfile::linux2_2());
   SimNestConfig cfg;
-  cfg.tm.adaptive = false;
+  cfg.adaptive = false;
   SimNest server(host, cfg);
   WorkloadSpec spec;
   spec.warmup = 5 * kSecond;

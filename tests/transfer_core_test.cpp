@@ -23,18 +23,12 @@
 namespace nest::transfer {
 namespace {
 
-TransferManager::Options fifo_options() {
-  TransferManager::Options o;
-  o.adaptive = false;
-  return o;
-}
-
 // N threads x M requests x B blocks through the full lifecycle. The
 // assertions are pure conservation laws; the run finishing at all is the
 // no-deadlock/no-lost-wakeup check.
 void run_stress(const std::string& scheduler, int slots, int threads,
                 int requests_per_thread, int blocks_per_request) {
-  TransferManager::Options opts = fifo_options();
+  TransferManager::Options opts;  // fifo
   opts.scheduler = scheduler;
   TransferManager tm(RealClock::instance(), opts);
   TransferCore core(tm, slots);
@@ -115,7 +109,7 @@ TEST(TransferCoreStress, ManySlotsManyThreads) {
 // Concurrent lifecycle calls interleaved with monitoring reads (the
 // dispatcher's ClassAd publisher does exactly this in real mode).
 TEST(TransferCoreStress, MonitoringReadsDuringTraffic) {
-  TransferManager tm(RealClock::instance(), fifo_options());
+  TransferManager tm(RealClock::instance(), TransferManager::Options{});
   TransferCore core(tm, 4);
   std::atomic<bool> stop{false};
   std::thread monitor([&] {
@@ -151,7 +145,7 @@ TEST(TransferCoreStress, MonitoringReadsDuringTraffic) {
 // in scheduler order and slots are consumed/returned exactly.
 TEST(TransferCoreSubstrate, GrantsInSchedulerOrder) {
   ManualClock clock;
-  TransferManager tm(clock, fifo_options());
+  TransferManager tm(clock, TransferManager::Options{});
   TransferCore core(tm, /*slots=*/1);
   TransferRequest* r1 =
       core.create_request("chirp", Direction::read, "/a", 10);
@@ -175,7 +169,7 @@ TEST(TransferCoreSubstrate, GrantsInSchedulerOrder) {
 // more tickets gets proportionally more grants.
 TEST(TransferCoreSubstrate, ChargesReachSchedulerBeforeNextGrant) {
   ManualClock clock;
-  TransferManager::Options opts = fifo_options();
+  TransferManager::Options opts;  // fifo
   opts.scheduler = "stride";
   TransferManager tm(clock, opts);
   TransferCore core(tm, /*slots=*/1);

@@ -458,7 +458,6 @@ TEST(TransferManager, LifecycleAndAccounting) {
   ManualClock clock;
   TransferManager::Options opts;
   opts.scheduler = "fifo";
-  opts.adaptive = false;
   TransferManager tm(clock, opts);
   auto* r = tm.create_request("chirp", Direction::read, "/f", 1000);
   ASSERT_NE(r, nullptr);
@@ -477,7 +476,6 @@ TEST(TransferManager, LifecycleAndAccounting) {
 TEST(TransferManager, ChargeFeedsCacheModel) {
   ManualClock clock;
   TransferManager::Options opts;
-  opts.adaptive = false;
   TransferManager tm(clock, opts);
   auto* r = tm.create_request("http", Direction::read, "/hot", 16 * 1024);
   EXPECT_DOUBLE_EQ(r->cached_fraction, 0.0);  // first sight: cold
@@ -501,16 +499,6 @@ TEST(TransferManager, StrideAccessorOnlyForStride) {
   TransferManager stride_tm(clock, stride_opts);
   ASSERT_NE(stride_tm.stride(), nullptr);
   stride_tm.stride()->set_tickets("nfs", 4);
-}
-
-TEST(TransferManager, FixedModelWhenNotAdaptive) {
-  ManualClock clock;
-  TransferManager::Options opts;
-  opts.adaptive = false;
-  opts.fixed_model = ConcurrencyModel::events;
-  TransferManager tm(clock, opts);
-  for (int i = 0; i < 10; ++i)
-    EXPECT_EQ(tm.pick_model(), ConcurrencyModel::events);
 }
 
 // ---------- Scheduler invariants (PR 3 test sweep) ----------

@@ -341,7 +341,6 @@ class ZeroCopyServerTest : public TempDirTest {
   std::unique_ptr<server::NestServer> start_server(
       server::NestServerOptions opts) {
     opts.capacity = 64'000'000;
-    opts.tm.adaptive = false;
     opts.ftp_port = -1;
     opts.gridftp_port = -1;
     opts.nfs_port = -1;

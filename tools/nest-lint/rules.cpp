@@ -104,7 +104,10 @@ void rule_layering(const Context& ctx, std::vector<Finding>& out) {
 // goes through the VirtualFs / net::TcpStream abstractions so fallback
 // semantics, failpoints, and zero-copy paths stay in one place, and so a
 // protocol thread can never sneak an unbounded disk wait past the
-// scheduler.
+// scheduler. Process creation (fork/vfork/exec*/waitpid/posix_spawn) is
+// banned in every production subdirectory: the server is threaded, and
+// after fork() in a threaded process the child may only call
+// async-signal-safe functions.
 const std::set<std::string>& socket_syscalls() {
   static const std::set<std::string> k = {
       "send", "recv", "sendto", "recvfrom", "sendfile",
@@ -119,6 +122,14 @@ const std::set<std::string>& file_syscalls() {
       "fstat", "lstat", "statvfs", "fstatvfs", "lseek", "ftruncate",
       "truncate", "unlink", "unlinkat", "rename", "renameat", "mkdir",
       "mkdirat", "rmdir", "opendir", "readdir", "closedir"};
+  return k;
+}
+
+const std::set<std::string>& process_syscalls() {
+  static const std::set<std::string> k = {
+      "fork",  "vfork",  "waitpid", "execl",   "execle",      "execlp",
+      "execv", "execve", "execvp",  "execvpe", "fexecve",     "posix_spawn",
+      "posix_spawnp"};
   return k;
 }
 
@@ -153,13 +164,21 @@ void rule_syscalls(const Context& ctx, std::vector<Finding>& out) {
     const bool net_ok = f.subdir == "net";
     const bool file_ok = f.subdir == "storage" || f.subdir == "journal" ||
                          f.subdir == "net" || f.subdir == "hsm";
-    if (net_ok && file_ok) continue;
     auto code = code_only(f.toks);
     for (std::size_t i = 0; i < code.size(); ++i) {
       if (!(code[i].kind == Tok::punct && code[i].text == "::")) continue;
       if (!is_global_call(code, i)) continue;
       const std::string& name = code[i + 1].text;
-      if (!net_ok && socket_syscalls().count(name) != 0) {
+      if (process_syscalls().count(name) != 0) {
+        if (ctx.line_allowed(f.rel_path, "syscalls", code[i + 1].line)) {
+          continue;
+        }
+        out.push_back({f.rel_path, code[i + 1].line, "syscalls",
+                       "raw ::" + name +
+                           "() in src/ — no process creation in the "
+                           "threaded appliance (only async-signal-safe "
+                           "calls are legal after fork)"});
+      } else if (!net_ok && socket_syscalls().count(name) != 0) {
         if (ctx.line_allowed(f.rel_path, "syscalls", code[i + 1].line)) {
           continue;
         }
@@ -695,7 +714,8 @@ const std::vector<Rule>& all_rules() {
   static const std::vector<Rule> kRules = {
       {"layering", "include DAG between src/ subdirs (no back-edges)",
        rule_layering},
-      {"syscalls", "blocking syscalls confined to storage/journal/net/hsm",
+      {"syscalls",
+       "blocking syscalls confined to storage/journal/net/hsm; no fork/exec",
        rule_syscalls},
       {"lockrank", "lockrank.h ranks match the docs rank table",
        rule_lockrank},
