@@ -46,9 +46,13 @@ class LegacyGate {
     return tm_.create_request(protocol, dir, path, size, user);
   }
 
+  // The seed's TransferManager::charge, inlined under the one mutex:
+  // progress, scheduler charge, cache-model observation.
   void charge(TransferRequest* r, std::int64_t bytes) {
     std::lock_guard lock(mu_);
-    tm_.charge(r, bytes);
+    r->done += bytes;
+    tm_.scheduler().charge(r, bytes);
+    tm_.cache_model().observe_access(r->path, r->done - bytes, bytes);
   }
 
   void complete(TransferRequest* r) {

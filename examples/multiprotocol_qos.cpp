@@ -85,7 +85,7 @@ int main() {
       h / 1e6, f / 1e6, f > 0 ? h / f : 0.0);
 
   // Per-class accounting as the transfer manager saw it.
-  for (const auto& [cls, bytes] : (*server)->tm().meter().per_class()) {
+  for (const auto& [cls, bytes] : (*server)->tm().class_bytes()) {
     std::printf("  transfer manager meter: %-6s %lld bytes\n", cls.c_str(),
                 static_cast<long long>(bytes));
   }

@@ -33,7 +33,12 @@ fi
 echo "== building benchmarks =="
 cmake --build "$BUILD_DIR" --target "${BENCHES[@]}" -j >/dev/null
 
-GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+GIT_REV="$(git describe --always --dirty --abbrev=7 2>/dev/null || echo unknown)"
+# Host fingerprint, so a regression can be told from a hardware change.
+CACHE="$BUILD_DIR/CMakeCache.txt"
+CXX_BIN="$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' "$CACHE" 2>/dev/null || true)"
+HOST_CXX="$("${CXX_BIN:-c++}" --version 2>/dev/null | head -n1 || echo unknown)"
+HOST_BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$CACHE" 2>/dev/null || true)"
 mkdir -p "$OUT_DIR"
 
 for name in "${BENCHES[@]}"; do
@@ -49,8 +54,9 @@ for name in "${BENCHES[@]}"; do
   end="$(date +%s.%N)"
   out="$OUT_DIR/BENCH_${name}.json"
   RAW_FILE="$raw" NAME="$name" BIN="$bin" GIT_REV="$GIT_REV" \
+  HOST_CXX="$HOST_CXX" HOST_BUILD_TYPE="$HOST_BUILD_TYPE" \
   START="$start" END="$end" OUT="$out" python3 - <<'PY'
-import json, os, datetime
+import json, os, datetime, platform
 
 raw = open(os.environ["RAW_FILE"], encoding="utf-8", errors="replace").read()
 rows = []
@@ -65,12 +71,30 @@ for line in raw.splitlines():
     if isinstance(obj, dict):
         rows.append(obj)
 
+cpu_model = "unknown"
+try:
+    with open("/proc/cpuinfo", encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("model name"):
+                cpu_model = line.split(":", 1)[1].strip()
+                break
+except OSError:
+    pass
+host = {
+    "nproc": os.cpu_count(),
+    "cpu_model": cpu_model,
+    "kernel": platform.release(),
+    "compiler": os.environ["HOST_CXX"],
+    "build_type": os.environ["HOST_BUILD_TYPE"],
+}
+
 doc = {
     "name": os.environ["NAME"],
     "binary": os.environ["BIN"],
     "timestamp": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(timespec="seconds"),
     "git": os.environ["GIT_REV"],
+    "host": host,
     "duration_sec": round(float(os.environ["END"])
                           - float(os.environ["START"]), 3),
     "rows": rows,

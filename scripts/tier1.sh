@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: lint, then full build + full test suite (lock-rank deadlock
-# detector armed), then the concurrency-labelled stress tests again under
+# detector armed), the timing-sensitive suites repeated to surface flakes,
+# then the concurrency-labelled stress tests again under
 # ThreadSanitizer, the recovery-labelled journal/crash tests under
 # Address+UB sanitizer, and the whole suite once more under UBSan alone
 # (separate build trees so instrumented objects never mix). Each leg is
@@ -48,6 +49,12 @@ cmake --build --preset default -j "${JOBS}"
 
 leg "full test suite (lock-rank detector armed)"
 NEST_LOCKRANK=1 ctest --preset default
+
+leg "flake hunt: fault/chaos/cluster/hsm/conformance suites, three runs each"
+# A test that fails one run in N is a bug in the program or the test; the
+# timing-sensitive suites run three times so such a failure shows here.
+ctest --preset default -L 'fault|chaos|cluster|hsm|conformance' \
+  --repeat until-fail:3
 
 leg "ThreadSanitizer pass over concurrency/obs/conformance/chaos/cluster/scale/hsm tests"
 cmake --preset tsan

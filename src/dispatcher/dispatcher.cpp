@@ -259,7 +259,7 @@ std::pair<double, double> Dispatcher::observe_load(Nanos now) const {
   MutexLock lock(load_mu_);
   const double total_bps =
       total_rate_.observe(now, tm_.total_bytes());
-  for (const auto& [cls, bytes] : tm_.meter().per_class()) {
+  for (const auto& [cls, bytes] : tm_.class_bytes()) {
     proto_rates_[cls].observe(now, bytes);
   }
   // Instantaneous load = occupied transfer slots as a fraction of the
@@ -282,7 +282,7 @@ classad::ClassAd Dispatcher::snapshot_ad() const {
             classad::Value::integer(tm_.completed_requests()));
   ad.insert("BytesMoved", classad::Value::integer(tm_.total_bytes()));
   ad.insert("MeanTransferMs",
-            classad::Value::real(tm_.latencies().mean_ms()));
+            classad::Value::real(tm_.latency().mean_ms()));
   ad.insert("Scheduler",
             classad::Value::string(tm_.options().scheduler));
 
@@ -294,7 +294,7 @@ classad::ClassAd Dispatcher::snapshot_ad() const {
   ad.insert("ThroughputMBps", classad::Value::real(mbps));
   {
     MutexLock lock(load_mu_);
-    for (const auto& [cls, bytes] : tm_.meter().per_class()) {
+    for (const auto& [cls, bytes] : tm_.class_bytes()) {
       // Window-averaged per-protocol rate; attribute per protocol class.
       const double rate =
           proto_rates_[cls].observe(now, bytes) / 1e6;
@@ -346,7 +346,7 @@ std::string Dispatcher::stats_json() const {
   {
     MutexLock lock(load_mu_);
     bool first = true;
-    for (const auto& [cls, bytes] : tm_.meter().per_class()) {
+    for (const auto& [cls, bytes] : tm_.class_bytes()) {
       if (!first) os << ",";
       first = false;
       os << "\"" << cls

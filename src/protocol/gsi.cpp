@@ -41,7 +41,9 @@ std::string GsiRegistry::respond(const std::string& secret,
 }
 
 std::string GsiRegistry::make_challenge() {
-  return "nonce-" + std::to_string(++nonce_counter_);
+  const std::uint64_t n =
+      nonce_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
+  return "nonce-" + std::to_string(n);
 }
 
 Result<storage::Principal> GsiRegistry::verify(

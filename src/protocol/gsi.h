@@ -9,6 +9,7 @@
 // be used outside this reproduction.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -46,7 +47,8 @@ class GsiRegistry {
     std::vector<std::string> groups;
   };
   std::map<std::string, Entry> users_;
-  std::uint64_t nonce_counter_ = 0;
+  // Bumped by every connection thread that authenticates.
+  std::atomic<std::uint64_t> nonce_counter_{0};
 };
 
 }  // namespace nest::protocol

@@ -64,6 +64,7 @@ Result<std::unique_ptr<ExtentFs>> ExtentFs::open_volume(
     return Error{Errc::io_error, "size volume: " + std::string(strerror(errno))};
   }
   auto fs = std::make_unique<ExtentFs>(clock, 0);
+  MutexLock lock(fs->mu_);
   fs->volume_bytes_ = volume_bytes;
   fs->extent_count_ = volume_bytes / kExtentBytes;
   fs->mem_volume_.clear();
@@ -73,6 +74,7 @@ Result<std::unique_ptr<ExtentFs>> ExtentFs::open_volume(
   for (std::int64_t e = 0; e < fs->extent_count_; ++e) {
     fs->free_list_.insert(e);
   }
+  lock.unlock();
   return fs;
 }
 
@@ -175,6 +177,7 @@ void ExtentFs::release_extents(Inode& inode) {
 
 Status ExtentFs::mkdir(const std::string& raw) {
   const std::string path = normalize_path(raw);
+  MutexLock lock(mu_);
   if (inodes_.count(path)) return Status{Errc::exists, path};
   if (auto s = check_parent(path); !s.ok()) return s;
   inodes_[path] = Inode{.is_dir = true,
@@ -189,6 +192,7 @@ Status ExtentFs::rmdir(const std::string& raw) {
   const std::string path = normalize_path(raw);
   if (path == "/")
     return Status{Errc::permission_denied, "cannot remove root"};
+  MutexLock lock(mu_);
   const auto it = inodes_.find(path);
   if (it == inodes_.end()) return Status{Errc::not_found, path};
   if (!it->second.is_dir) return Status{Errc::not_dir, path};
@@ -204,6 +208,7 @@ Status ExtentFs::rmdir(const std::string& raw) {
 
 Status ExtentFs::remove(const std::string& raw) {
   const std::string path = normalize_path(raw);
+  MutexLock lock(mu_);
   const auto it = inodes_.find(path);
   if (it == inodes_.end()) return Status{Errc::not_found, path};
   if (it->second.is_dir) return Status{Errc::is_dir, path};
@@ -214,6 +219,7 @@ Status ExtentFs::remove(const std::string& raw) {
 }
 
 Result<FileStat> ExtentFs::stat(const std::string& raw) const {
+  MutexLock lock(mu_);
   const auto it = inodes_.find(normalize_path(raw));
   if (it == inodes_.end()) return Error{Errc::not_found, raw};
   FileStat st;
@@ -226,6 +232,7 @@ Result<FileStat> ExtentFs::stat(const std::string& raw) const {
 
 Result<std::vector<DirEntry>> ExtentFs::list(const std::string& raw) const {
   const std::string path = normalize_path(raw);
+  MutexLock lock(mu_);
   const auto it = inodes_.find(path);
   if (it == inodes_.end()) return Error{Errc::not_found, path};
   if (!it->second.is_dir) return Error{Errc::not_dir, path};
@@ -246,6 +253,7 @@ Status ExtentFs::rename(const std::string& from_raw,
                         const std::string& to_raw) {
   const std::string from = normalize_path(from_raw);
   const std::string to = normalize_path(to_raw);
+  MutexLock lock(mu_);
   const auto it = inodes_.find(from);
   if (it == inodes_.end()) return Status{Errc::not_found, from};
   if (it->second.is_dir) return Status{Errc::unsupported, "dir rename"};
@@ -259,6 +267,7 @@ Status ExtentFs::rename(const std::string& from_raw,
 Result<FileHandlePtr> ExtentFs::open(const std::string& raw) {
   NEST_FAILPOINT("fs.open", return err);
   const std::string path = normalize_path(raw);
+  MutexLock lock(mu_);
   const auto it = inodes_.find(path);
   if (it == inodes_.end()) return Error{Errc::not_found, path};
   if (it->second.is_dir) return Error{Errc::is_dir, path};
@@ -268,6 +277,7 @@ Result<FileHandlePtr> ExtentFs::open(const std::string& raw) {
 Result<FileHandlePtr> ExtentFs::create(const std::string& raw) {
   NEST_FAILPOINT("fs.create", return err);
   const std::string path = normalize_path(raw);
+  MutexLock lock(mu_);
   if (auto s = check_parent(path); !s.ok()) return Error{s.error()};
   auto& inode = inodes_[path];
   if (inode.is_dir) return Error{Errc::is_dir, path};
@@ -277,16 +287,24 @@ Result<FileHandlePtr> ExtentFs::create(const std::string& raw) {
 }
 
 void ExtentFs::set_owner(const std::string& raw, const std::string& owner) {
+  MutexLock lock(mu_);
   const auto it = inodes_.find(normalize_path(raw));
   if (it != inodes_.end()) it->second.owner = owner;
 }
 
 std::int64_t ExtentFs::used_space() const {
+  MutexLock lock(mu_);
   return (extent_count_ - static_cast<std::int64_t>(free_list_.size())) *
          kExtentBytes;
 }
 
+std::int64_t ExtentFs::free_extents() const {
+  MutexLock lock(mu_);
+  return static_cast<std::int64_t>(free_list_.size());
+}
+
 std::int64_t ExtentFs::extents_of(const std::string& path) const {
+  MutexLock lock(mu_);
   const auto it = inodes_.find(normalize_path(path));
   if (it == inodes_.end()) return -1;
   return static_cast<std::int64_t>(it->second.extents.size());
@@ -297,6 +315,7 @@ std::int64_t ExtentFs::extents_of(const std::string& path) const {
 Result<std::int64_t> ExtentFs::file_io(const std::string& path,
                                        std::int64_t offset, char* rbuf,
                                        const char* wbuf, std::int64_t len) {
+  MutexLock lock(mu_);
   auto it = inodes_.find(path);
   if (it == inodes_.end()) return Error{Errc::not_found, path};
   Inode& inode = it->second;
@@ -342,6 +361,7 @@ Result<std::vector<SendSegment>> ExtentFs::map_for_send(
     return Error{Errc::unsupported, "memory-backed volume has no fd"};
   if (offset < 0 || len < 0)
     return Error{Errc::invalid_argument, "negative map_for_send range"};
+  MutexLock lock(mu_);
   const auto it = inodes_.find(path);
   if (it == inodes_.end()) return Error{Errc::not_found, path};
   const Inode& inode = it->second;
@@ -373,6 +393,7 @@ Result<std::vector<SendSegment>> ExtentFs::map_for_send(
 
 Status ExtentFs::file_truncate(const std::string& path,
                                std::int64_t new_size) {
+  MutexLock lock(mu_);
   const auto it = inodes_.find(path);
   if (it == inodes_.end()) return Status{Errc::not_found, path};
   if (auto s = reserve(it->second, new_size); !s.ok()) return s;

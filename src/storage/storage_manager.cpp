@@ -519,6 +519,7 @@ Status StorageManager::charge_written_locked(const Principal& who,
 Result<LotId> StorageManager::lot_create(const Principal& who,
                                          std::int64_t capacity,
                                          Nanos duration, bool group_lot) {
+  obs::Span span(obs::Layer::storage, "lot_create");
   MutexLock lock(mu_);
   auto out = lot_create_locked(who, capacity, duration, group_lot);
   auto sealed = seal_batch_locked();
@@ -554,6 +555,7 @@ Result<LotId> StorageManager::lot_create_locked(const Principal& who,
 
 Status StorageManager::lot_renew(const Principal& who, LotId id,
                                  Nanos duration) {
+  obs::Span span(obs::Layer::storage, "lot_renew");
   MutexLock lock(mu_);
   const Status out = lot_renew_locked(who, id, duration);
   auto sealed = seal_batch_locked();
@@ -579,6 +581,7 @@ Status StorageManager::lot_renew_locked(const Principal& who, LotId id,
 }
 
 Status StorageManager::lot_terminate(const Principal& who, LotId id) {
+  obs::Span span(obs::Layer::storage, "lot_terminate");
   MutexLock lock(mu_);
   const Status out = lot_terminate_locked(who, id);
   auto sealed = seal_batch_locked();
@@ -606,6 +609,7 @@ Status StorageManager::lot_terminate_locked(const Principal& who, LotId id) {
 
 Status StorageManager::lot_set_replicas(const Principal& who, LotId id,
                                         std::int64_t replicas) {
+  obs::Span span(obs::Layer::storage, "lot_set_replicas");
   MutexLock lock(mu_);
   const Status out = lot_set_replicas_locked(who, id, replicas);
   auto sealed = seal_batch_locked();
@@ -643,6 +647,7 @@ bool StorageManager::owns_lot_locked(const Principal& who,
 
 Status StorageManager::lot_set_pin(const Principal& who, LotId id,
                                    bool pinned) {
+  obs::Span span(obs::Layer::storage, "lot_set_pin");
   MutexLock lock(mu_);
   const Status out = lot_set_pin_locked(who, id, pinned);
   auto sealed = seal_batch_locked();
@@ -943,6 +948,7 @@ std::int64_t StorageManager::replicas_for(const std::string& path) const {
 }
 
 Result<Lot> StorageManager::lot_query(const Principal& who, LotId id) const {
+  obs::Span span(obs::Layer::storage, "lot_query");
   MutexLock lock(mu_);
   auto lot = lots_.query(id);
   if (!lot.ok()) return lot.error();
@@ -969,6 +975,7 @@ std::vector<Lot> StorageManager::lot_list(const Principal& who) const {
 
 Status StorageManager::acl_set(const Principal& who, const std::string& dir,
                                const classad::ClassAd& entry) {
+  obs::Span span(obs::Layer::storage, "acl_set");
   MutexLock lock(mu_);
   Status out = check(who, dir, Right::admin);
   if (out.ok()) {
@@ -984,6 +991,7 @@ Status StorageManager::acl_set(const Principal& who, const std::string& dir,
 
 Status StorageManager::acl_clear(const Principal& who, const std::string& dir,
                                  const std::string& principal_spec) {
+  obs::Span span(obs::Layer::storage, "acl_clear");
   MutexLock lock(mu_);
   Status out = check(who, dir, Right::admin);
   if (out.ok()) {
@@ -999,6 +1007,7 @@ Status StorageManager::acl_clear(const Principal& who, const std::string& dir,
 
 Result<std::vector<std::string>> StorageManager::acl_get(
     const Principal& who, const std::string& dir) const {
+  obs::Span span(obs::Layer::storage, "acl_get");
   MutexLock lock(mu_);
   if (auto s = check(who, dir, Right::lookup); !s.ok()) return s.error();
   return acl_.describe(dir);

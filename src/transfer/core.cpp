@@ -86,7 +86,7 @@ void TransferCore::charge(TransferRequest* r, std::int64_t bytes) {
     }
   }
   r->done += bytes;  // owner-thread field
-  tm_.account_bytes(r->protocol, bytes);
+  r->class_bytes->fetch_add(bytes, std::memory_order_relaxed);
   {
     MutexLock lock(cache_mu_);
     tm_.cache_model().observe_access(r->path, r->done - bytes, bytes);

@@ -19,8 +19,9 @@
 //     the TransferManager directly.
 //
 // Hot-path locking (full hierarchy in docs/transfer-core.md):
-//   charge()  — never blocks on the scheduler lock: atomic byte counters,
-//               striped meter, the cache-model lock, and a shard push.
+//   charge()  — never blocks on the scheduler lock: one relaxed add to the
+//               request's class byte counter, the cache-model lock, and a
+//               shard push.
 //   acquire() — shard push + a pump attempt; blocks only on its own grant
 //               word when no slot is free.
 //   release() — atomic slot increment + a pump attempt.
@@ -51,10 +52,11 @@ class TransferCore {
   TransferRequest* create_request(const std::string& protocol, Direction dir,
                                   const std::string& path, std::int64_t size,
                                   const std::string& user = {});
-  // Account `bytes` moved for `r`. Byte/meter accounting is immediate and
-  // lock-free; the scheduler charge is deferred to the shard and applied
-  // before the next grant decision (callers charge before releasing their
-  // slot, so proportional-share passes are never stale at the next pick).
+  // Account `bytes` moved for `r`: the only charge path. Byte accounting
+  // is immediate and lock-free; the scheduler charge is deferred to the
+  // shard and applied before the next grant decision (callers charge
+  // before releasing their slot, so proportional-share passes are never
+  // stale at the next pick).
   void charge(TransferRequest* r, std::int64_t bytes);
   // Retires `r` (latency accounting + registry erase). Flushes any of the
   // request's still-pending shard operations first, so the scheduler never

@@ -2,6 +2,7 @@
 // (real epoll server and discrete-event simulator).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -29,6 +30,9 @@ struct TransferRequest {
   double cached_fraction = 0.0;
   // Scratch for schedulers (e.g. queue position bookkeeping).
   std::int64_t sched_tag = 0;
+  // Byte counter of this request's class in the owning TransferManager,
+  // resolved once at create_request; TransferCore::charge adds to it.
+  std::atomic<std::int64_t>* class_bytes = nullptr;
   // --- TransferCore fields ---
   // Global submission-order stamp: TransferCore's sharded submission
   // queues are merged back into scheduler arrival order by this number.

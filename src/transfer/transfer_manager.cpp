@@ -8,8 +8,7 @@ TransferManager::TransferManager(Clock& clock, Options options)
     : clock_(clock),
       options_(options),
       scheduler_(make_scheduler(options.scheduler, clock)),
-      cache_model_(options.cache_model_bytes, options.cache_model_page),
-      latencies_(options.latency_samples_per_stripe) {
+      cache_model_(options.cache_model_bytes, options.cache_model_page) {
   assert(scheduler_ != nullptr && "unknown scheduler kind");
 }
 
@@ -27,24 +26,35 @@ TransferRequest* TransferManager::create_request(const std::string& protocol,
   req->size = size;
   req->arrival = clock_.now();
   req->cached_fraction = cache_model_.resident_fraction(path, size);
+  std::size_t cls = 0;
+  while (cls + 1 < kByteClasses.size() && kByteClasses[cls] != protocol) ++cls;
+  req->class_bytes = &class_bytes_[cls];  // falls through to "other"
   TransferRequest* raw = req.get();
   requests_[raw->id] = std::move(req);
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   return raw;
 }
 
-void TransferManager::charge(TransferRequest* r, std::int64_t bytes) {
-  r->done += bytes;
-  account_bytes(r->protocol, bytes);
-  scheduler_->charge(r, bytes);
-  cache_model_.observe_access(r->path, r->done - bytes, bytes);
-}
-
 void TransferManager::complete(TransferRequest* r) {
-  latencies_.record(clock_.now() - r->arrival);
+  latency_.record(clock_.now() - r->arrival);
   completed_.fetch_add(1, std::memory_order_relaxed);
   in_flight_.fetch_sub(1, std::memory_order_relaxed);
   requests_.erase(r->id);
+}
+
+std::map<std::string, std::int64_t> TransferManager::class_bytes() const {
+  std::map<std::string, std::int64_t> out;
+  for (std::size_t i = 0; i < kByteClasses.size(); ++i) {
+    const std::int64_t n = class_bytes_[i].load(std::memory_order_relaxed);
+    if (n != 0) out.emplace(kByteClasses[i], n);
+  }
+  return out;
+}
+
+std::int64_t TransferManager::total_bytes() const {
+  std::int64_t n = 0;
+  for (const auto& c : class_bytes_) n += c.load(std::memory_order_relaxed);
+  return n;
 }
 
 StrideScheduler* TransferManager::stride() {

@@ -9,19 +9,21 @@
 // concurrency model: simnest::SimNest owns the adaptive selector).
 //
 // Thread-safety: this object is a *single-threaded* policy brain. The
-// aggregate counters (total_bytes/completed/in_flight) are atomics so
-// monitoring reads (ClassAd publishing) are always safe, but the
-// lifecycle and scheduling calls must be externally serialized —
-// transfer::TransferCore is that serialization layer for the concurrent
-// real-mode server; the simulator drives this object from its one engine
-// thread.
+// accounting (per-class byte counters, completed/in_flight, the latency
+// histogram) is atomics only, so monitoring reads (ClassAd publishing,
+// /stats) are always safe, but the lifecycle and scheduling calls must be
+// externally serialized — transfer::TransferCore is that serialization
+// layer for the concurrent real-mode server and the only path that
+// charges bytes; the simulator drives it from its one engine thread.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/clock.h"
 #include "common/metrics.h"
@@ -40,16 +42,13 @@ class TransferManager {
     // Gray-box cache model sizing (estimate of the kernel cache).
     std::int64_t cache_model_bytes = 64LL * 1024 * 1024;
     std::int64_t cache_model_page = 8 * 1024;
-    // Latency samples retained per recorder stripe for percentile
-    // queries (0 = retain everything). Bounded by default so the
-    // monitoring surfaces (discovery ads, /stats) stay O(1) amortized
-    // under unbounded request churn; mean/count stay exact regardless.
-    std::size_t latency_samples_per_stripe = 4096;
   };
 
   TransferManager(Clock& clock, Options options);
 
   // --- request lifecycle ---
+  // Registers a request and resolves its byte-class counter once
+  // (r->class_bytes), so charging never looks the class up again.
   TransferRequest* create_request(const std::string& protocol, Direction dir,
                                   const std::string& path, std::int64_t size,
                                   const std::string& user = {});
@@ -57,22 +56,11 @@ class TransferManager {
   TransferRequest* next() { return scheduler_->next(); }
   // Non-work-conserving hold hint (0 = none).
   Nanos hold_until() const { return scheduler_->hold_until(); }
-  // Account bytes moved; feeds the scheduler, bandwidth meter, and the
-  // gray-box cache model.
-  void charge(TransferRequest* r, std::int64_t bytes);
+  // Records the completion latency and retires `r`.
   void complete(TransferRequest* r);
   bool idle() const { return scheduler_->empty() && requests_.empty(); }
   std::size_t in_flight() const {
     return in_flight_.load(std::memory_order_relaxed);
-  }
-
-  // Granular piece of charge(): byte accounting only (atomic total +
-  // striped meter; no scheduler or cache-model touch). TransferCore calls
-  // this lock-free on the hot path and applies the scheduler charge and
-  // cache observation under its own locks.
-  void account_bytes(const std::string& cls, std::int64_t bytes) {
-    total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    meter_.add(cls, bytes);
   }
 
   // --- policy access ---
@@ -82,28 +70,36 @@ class TransferManager {
   CacheModel& cache_model() { return cache_model_; }
 
   // --- accounting ---
-  BandwidthMeter& meter() { return meter_; }
-  LatencyRecorder& latencies() { return latencies_; }
-  std::int64_t total_bytes() const {
-    return total_bytes_.load(std::memory_order_relaxed);
-  }
+  // Bytes moved per class, listing only classes that moved any. The
+  // classes are the five wire protocols, the HSM's two internal movers,
+  // and "other" for any other protocol name.
+  std::map<std::string, std::int64_t> class_bytes() const;
+  std::int64_t total_bytes() const;
   std::int64_t completed_requests() const {
     return completed_.load(std::memory_order_relaxed);
   }
+  // Arrival-to-complete wall time of every retired request (count and
+  // mean exact; percentiles are bucket upper bounds).
+  const Histogram& latency() const { return latency_; }
 
   const Options& options() const { return options_; }
   Clock& clock() const { return clock_; }
 
  private:
+  // A fixed key set of plain atomics (like obs::Stats' per-protocol
+  // histograms), so a charge is one relaxed fetch_add and readers never
+  // race a rehash.
+  static constexpr std::array<std::string_view, 8> kByteClasses = {
+      "chirp", "http", "ftp", "gridftp", "nfs", "recall", "migrate", "other"};
+
   Clock& clock_;
   Options options_;
   std::unique_ptr<Scheduler> scheduler_;
   CacheModel cache_model_;
   std::map<std::uint64_t, std::unique_ptr<TransferRequest>> requests_;
   std::uint64_t next_id_ = 1;
-  BandwidthMeter meter_;
-  LatencyRecorder latencies_;
-  std::atomic<std::int64_t> total_bytes_{0};
+  std::array<std::atomic<std::int64_t>, kByteClasses.size()> class_bytes_{};
+  Histogram latency_;
   std::atomic<std::int64_t> completed_{0};
   std::atomic<std::size_t> in_flight_{0};
 };

@@ -577,7 +577,7 @@ TEST_F(IntegrationTest, TransferManagerSeesAllProtocols) {
   (void)http.get("/meter.bin");
   auto ftp = FtpClient::connect("127.0.0.1", server_->ftp_port());
   (void)ftp->retr("/meter.bin");
-  const auto& per_class = server_->tm().meter().per_class();
+  const auto& per_class = server_->tm().class_bytes();
   EXPECT_GT(per_class.at("chirp"), 0);
   EXPECT_GT(per_class.at("http"), 0);
   EXPECT_GT(per_class.at("ftp"), 0);

@@ -383,6 +383,38 @@ TEST_F(ObsServerTest, ChirpGetProducesFullSpanTree) {
   EXPECT_NE(tree.find("transfer:quantum"), std::string::npos);
 }
 
+// Lot and ACL mutations are storage work: their time shows up as a
+// storage span under the dispatcher span, not as dispatcher self time.
+TEST_F(ObsServerTest, ChirpLotCreateHasStorageSpanUnderDispatcher) {
+  auto srv = start_server();
+  ASSERT_TRUE(srv);
+  auto c = client::ChirpClient::connect("127.0.0.1", srv->chirp_port(),
+                                        "alice", "s");
+  ASSERT_TRUE(c.ok());
+  auto lot = c->lot_create(100'000, 60);
+  ASSERT_TRUE(lot.ok()) << lot.error().to_string();
+
+  auto& buf = obs::TraceBuffer::instance();
+  std::uint64_t trace = 0;
+  for (int i = 0; i < 400 && trace == 0; ++i) {
+    trace = buf.find_trace(obs::Layer::storage, "lot_create");
+    if (trace == 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_NE(trace, 0u);
+  const obs::SpanData* dispatcher = nullptr;
+  const obs::SpanData* storage = nullptr;
+  const auto spans = buf.trace(trace);
+  for (const auto& s : spans) {
+    if (std::string(s.name) != "lot_create") continue;
+    if (s.layer == obs::Layer::dispatcher) dispatcher = &s;
+    if (s.layer == obs::Layer::storage) storage = &s;
+  }
+  ASSERT_NE(dispatcher, nullptr);
+  ASSERT_NE(storage, nullptr);
+  EXPECT_EQ(storage->parent_id, dispatcher->span_id);
+  EXPECT_GE(storage->start, dispatcher->start);
+}
+
 TEST_F(ObsServerTest, StatsSurfacesAgree) {
   auto srv = start_server();
   ASSERT_TRUE(srv);

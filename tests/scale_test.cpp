@@ -246,6 +246,9 @@ TEST(StrideScale, EvictedRejoinReclampsLikeLongAbsence) {
 
 struct OverloadResult {
   loadgen::LoadGenStats gen;
+  // Whole-run p99 of completed transfers: the upper bound of the
+  // latency-histogram bucket it falls in. Buckets double, so that
+  // bucket's floor is p99_ms / 2.
   double p99_ms = 0.0;
   transfer::AdmissionController::Snapshot admission;
 };
@@ -277,7 +280,7 @@ OverloadResult run_overload(transfer::AdmissionOptions admission,
 
   OverloadResult out;
   out.gen = gen.stats();
-  out.p99_ms = server.tm().latencies().percentile_ms(99);
+  out.p99_ms = server.tm().latency().percentile_ms(99);
   out.admission = server.admission().snapshot();
   return out;
 }
@@ -292,7 +295,7 @@ TEST(AdmissionScale, ShedderHoldsP99UnderTargetAtTwiceCapacity) {
   // Open-loop 2x overload without admission control: queues grow without
   // bound and the completed-transfer tail blows far past the target.
   ASSERT_EQ(unshed.gen.ops_shed, 0u);
-  EXPECT_GT(unshed.p99_ms, 4 * on.target_ms);
+  EXPECT_GT(unshed.p99_ms / 2, 4 * on.target_ms);  // bucket floor
 
   // With the shedder: real shedding happened, everything admitted
   // finished inside the target, and throughput was preserved (the shed
@@ -300,7 +303,7 @@ TEST(AdmissionScale, ShedderHoldsP99UnderTargetAtTwiceCapacity) {
   // collapse service).
   EXPECT_GT(shed.gen.ops_shed, 0u);
   EXPECT_GT(shed.gen.ops_completed, 0u);
-  EXPECT_LT(shed.p99_ms, on.target_ms);
+  EXPECT_LT(shed.p99_ms, on.target_ms);  // bucket ceiling
   EXPECT_GT(shed.gen.ops_completed * 2, unshed.gen.ops_completed);
   // Shed replies are cheap: sessions still finished.
   EXPECT_EQ(shed.gen.sessions_finished, shed.gen.sessions_started);

@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "transfer/cache_model.h"
 #include "transfer/concurrency.h"
+#include "transfer/core.h"
 #include "transfer/scheduler.h"
 #include "transfer/transfer_manager.h"
 
@@ -459,32 +460,58 @@ TEST(TransferManager, LifecycleAndAccounting) {
   TransferManager::Options opts;
   opts.scheduler = "fifo";
   TransferManager tm(clock, opts);
-  auto* r = tm.create_request("chirp", Direction::read, "/f", 1000);
+  TransferCore core(tm, /*slots=*/1);
+  auto* r = core.create_request("chirp", Direction::read, "/f", 1000);
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(tm.in_flight(), 1u);
-  tm.enqueue(r);
-  EXPECT_EQ(tm.next(), r);
-  tm.charge(r, 1000);
+  core.submit(r);
+  EXPECT_EQ(core.try_grant(), r);
+  core.charge(r, 1000);
+  core.release_slot();
   clock.advance(5 * kMillisecond);
-  tm.complete(r);
+  core.complete(r);
   EXPECT_EQ(tm.total_bytes(), 1000);
   EXPECT_EQ(tm.completed_requests(), 1);
   EXPECT_TRUE(tm.idle());
-  EXPECT_NEAR(tm.latencies().mean_ms(), 5.0, 1e-9);
+  EXPECT_NEAR(tm.latency().mean_ms(), 5.0, 1e-9);
 }
 
 TEST(TransferManager, ChargeFeedsCacheModel) {
   ManualClock clock;
   TransferManager::Options opts;
   TransferManager tm(clock, opts);
-  auto* r = tm.create_request("http", Direction::read, "/hot", 16 * 1024);
+  TransferCore core(tm, /*slots=*/1);
+  auto* r = core.create_request("http", Direction::read, "/hot", 16 * 1024);
   EXPECT_DOUBLE_EQ(r->cached_fraction, 0.0);  // first sight: cold
-  tm.enqueue(r);
-  tm.charge(r, 16 * 1024);
-  tm.complete(r);
+  core.submit(r);
+  EXPECT_EQ(core.try_grant(), r);
+  core.charge(r, 16 * 1024);
+  core.release_slot();
+  core.complete(r);
   // Second request for the same file is predicted hot.
-  auto* r2 = tm.create_request("http", Direction::read, "/hot", 16 * 1024);
+  auto* r2 = core.create_request("http", Direction::read, "/hot", 16 * 1024);
   EXPECT_DOUBLE_EQ(r2->cached_fraction, 1.0);
+}
+
+// Bytes land in a fixed set of classes: a name outside it counts as
+// "other", and the snapshot lists only classes that moved bytes.
+TEST(TransferManager, ClassBytesFixedKeySet) {
+  ManualClock clock;
+  TransferManager tm(clock, TransferManager::Options{});
+  TransferCore core(tm, /*slots=*/1);
+  auto* a = core.create_request("nfs", Direction::read, "/a", 300);
+  auto* b = core.create_request("recall", Direction::write, "/b", 200);
+  auto* c = core.create_request("bulk", Direction::read, "/c", 100);
+  auto* idle = core.create_request("chirp", Direction::read, "/d", 100);
+  core.charge(a, 300);
+  core.charge(b, 200);
+  core.charge(c, 100);
+  core.charge(idle, 0);
+  const std::map<std::string, std::int64_t> want = {
+      {"nfs", 300}, {"other", 100}, {"recall", 200}};
+  EXPECT_EQ(tm.class_bytes(), want);
+  EXPECT_EQ(tm.total_bytes(), 600);
+  for (auto* r : {a, b, c, idle}) core.complete(r);
 }
 
 TEST(TransferManager, StrideAccessorOnlyForStride) {
