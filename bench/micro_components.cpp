@@ -4,6 +4,9 @@
 // XDR encode/decode (every NFS RPC).
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "classad/classad.h"
 #include "common/clock.h"
 #include "protocol/xdr.h"
@@ -87,14 +90,41 @@ void BM_CacheModelObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheModelObserve);
 
+// Creation-time residency probe of a file read straight through; the arg
+// is the file size (a 1 GB file overruns the 64 MiB model, so its tail is
+// what stays resident).
 void BM_CacheModelPredict(benchmark::State& state) {
   transfer::CacheModel model(64LL * 1024 * 1024, 8192);
-  model.observe_access("/f", 0, 10'000'000);
+  const std::int64_t size = state.range(0);
+  model.observe_access("/f", 0, size);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.resident_fraction("/f", 10'000'000));
+    benchmark::DoNotOptimize(model.resident_fraction("/f", size));
   }
 }
-BENCHMARK(BM_CacheModelPredict);
+BENCHMARK(BM_CacheModelPredict)->Arg(10'000'000)->Arg(1'000'000'000);
+
+// The model's whole share of one bulk transfer: the creation-time probe
+// plus 128 charged 64 KiB blocks of an 8 MiB file, cycling over 64 such
+// files (8x the 64 MiB model, as e2ebench's bulk_stream does) so the model
+// is full and every block evicts.
+void BM_CacheModelBulkTransfer(benchmark::State& state) {
+  constexpr std::int64_t kFile = 8LL * 1024 * 1024;
+  constexpr std::int64_t kBlock = 64 * 1024;
+  transfer::CacheModel model(64LL * 1024 * 1024, 8192);
+  std::vector<std::string> paths;
+  for (int i = 0; i < 64; ++i) paths.push_back("/bulk/f" + std::to_string(i));
+  for (const std::string& p : paths) model.observe_access(p, 0, kFile);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const std::string& path = paths[next];
+    next = (next + 1) % paths.size();
+    benchmark::DoNotOptimize(model.resident_fraction(path, kFile));
+    for (std::int64_t off = 0; off < kFile; off += kBlock) {
+      model.observe_access(path, off, kBlock);
+    }
+  }
+}
+BENCHMARK(BM_CacheModelBulkTransfer);
 
 void BM_XdrNfsReadCall(benchmark::State& state) {
   for (auto _ : state) {

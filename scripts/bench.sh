@@ -7,7 +7,7 @@
 #
 # Defaults: build-dir=build, out-dir=., benches=fig3_multiprotocol
 # fig4_proportional fig5_adaptive abl_journal_commit abl_wire_speed
-# abl_replication abl_scale abl_hsm. Any
+# abl_replication abl_scale abl_hsm abl_gate_contention. Any
 # machine-readable
 # JSONL rows a bench prints are lifted into the "rows" array; the full
 # stdout/stderr transcript is preserved verbatim under "raw".
@@ -22,7 +22,7 @@ BENCHES=("$@")
 if [ "${#BENCHES[@]}" -eq 0 ]; then
   BENCHES=(fig3_multiprotocol fig4_proportional fig5_adaptive
            abl_journal_commit abl_wire_speed abl_replication abl_scale
-           abl_hsm)
+           abl_hsm abl_gate_contention)
 fi
 
 if [ ! -d "$BUILD_DIR" ]; then

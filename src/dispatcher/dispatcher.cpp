@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/log.h"
+#include "common/string_util.h"
 #include "common/units.h"
 #include "fault/failpoint.h"
 #include "obs/trace.h"
@@ -49,8 +50,11 @@ Reply Dispatcher::execute_impl(const NestRequest& req) {
       return Reply{storage_.mkdir(req.principal, req.path), {}, 0};
     case NestOp::rmdir:
       return Reply{storage_.rmdir(req.principal, req.path), {}, 0};
-    case NestOp::unlink:
-      return Reply{storage_.remove(req.principal, req.path), {}, 0};
+    case NestOp::unlink: {
+      Status s = storage_.remove(req.principal, req.path);
+      if (s.ok()) core_.observe_remove(normalize_path(req.path));
+      return Reply{std::move(s), {}, 0};
+    }
     case NestOp::stat: {
       auto st = storage_.stat(req.principal, req.path);
       if (!st.ok()) return Reply::fail(Status{st.error()});
@@ -68,10 +72,11 @@ Reply Dispatcher::execute_impl(const NestRequest& req) {
       }
       return Reply::ok(os.str());
     }
-    case NestOp::rename:
-      return Reply{storage_.rename(req.principal, req.path, req.path2),
-                   {},
-                   0};
+    case NestOp::rename: {
+      Status s = storage_.rename(req.principal, req.path, req.path2);
+      if (s.ok()) core_.observe_remove(normalize_path(req.path));
+      return Reply{std::move(s), {}, 0};
+    }
     case NestOp::lot_create: {
       auto id = storage_.lot_create(req.principal, req.lot_capacity,
                                     req.lot_duration, req.group_lot);

@@ -7,10 +7,33 @@
 // (assumed LRU) replacement over those observations with a configurable
 // estimated cache size, and predicts whether a file is resident — the
 // signal cache-aware scheduling needs.
+//
+// Representation: one global LRU list of *runs* {file, lo, hi}. A run says
+// pages lo..hi of one file are resident and occupy one contiguous stretch
+// of the global recency order, least recent at lo and most recent at hi.
+// Each file keeps its runs in a map keyed by lo, so a call finds its file
+// with one path lookup and its pages with one ordered-map search, never a
+// per-page hash.
+//
+// Exactness: the model is a page-level LRU — the same pages are resident,
+// in the same recency order, as touching each page one at a time
+// (move a resident page to the front; else evict from the tail while the
+// cache is full, then push the page). With a capacity of 0 pages that loop
+// still keeps the last page touched, and so does this model.
+//
+// Cost per call: observe_access is O(runs the range touches + runs it
+// evicts) map/list steps; a sequential stream extends the front run and
+// trims the tail run, so a 64 KiB block is a few map operations.
+// resident_fraction is O(runs of the file below `size`) — one step for a
+// file that was read or written straight through. observe_remove is
+// O(runs of the file).
+//
+// Not thread-safe; transfer::TransferCore serialises it under cache_mu_.
 #pragma once
 
 #include <cstdint>
 #include <list>
+#include <map>
 #include <string>
 #include <unordered_map>
 
@@ -21,6 +44,9 @@ class CacheModel {
   CacheModel(std::int64_t estimated_cache_bytes, std::int64_t page_bytes)
       : capacity_pages_(estimated_cache_bytes / page_bytes),
         page_bytes_(page_bytes) {}
+  // Runs point at their file's entry; a copy would alias the original's.
+  CacheModel(const CacheModel&) = delete;
+  CacheModel& operator=(const CacheModel&) = delete;
 
   // Record that the server read/wrote [offset, offset+len) of `path`
   // through the kernel. Both populate the (modeled) cache.
@@ -33,34 +59,36 @@ class CacheModel {
   // Predicted fraction of the first `size` bytes resident right now.
   double resident_fraction(const std::string& path, std::int64_t size) const;
 
-  bool probably_cached(const std::string& path, std::int64_t size,
-                       double threshold = 0.99) const {
-    return resident_fraction(path, size) >= threshold;
-  }
-
   std::int64_t page_bytes() const { return page_bytes_; }
-  std::int64_t tracked_pages() const {
-    return static_cast<std::int64_t>(map_.size());
-  }
+  std::int64_t tracked_pages() const { return tracked_; }
 
  private:
-  struct Key {
-    std::string path;
-    std::int64_t page;
-    bool operator==(const Key&) const = default;
+  struct File;
+  struct Run {
+    File* file;
+    std::int64_t lo;
+    std::int64_t hi;
   };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      return std::hash<std::string>()(k.path) ^
-             std::hash<std::int64_t>()(k.page * 0x9e3779b97f4a7c15ll);
-    }
+  using Lru = std::list<Run>;  // front = MRU
+  struct File {
+    const std::string* path = nullptr;  // this entry's key in files_
+    std::map<std::int64_t, Lru::iterator> runs;  // by lo, disjoint
   };
-  using Lru = std::list<Key>;
+
+  // Move resident pages p..e (all inside run `r`) to the front.
+  void touch(File& f, Lru::iterator r, std::int64_t p, std::int64_t e);
+  // Make non-resident pages p..e the most recent, evicting as the
+  // page-at-a-time loop would.
+  void insert_fresh(File& f, std::int64_t p, std::int64_t e);
+  // Drop the `n` least recent pages. A file left with no run loses its
+  // entry, except `keep` (the file being accessed).
+  void evict(std::int64_t n, const File* keep);
 
   std::int64_t capacity_pages_;
   std::int64_t page_bytes_;
-  Lru lru_;  // front = MRU
-  std::unordered_map<Key, Lru::iterator, KeyHash> map_;
+  std::int64_t tracked_ = 0;
+  Lru lru_;
+  std::unordered_map<std::string, File> files_;
 };
 
 }  // namespace nest::transfer

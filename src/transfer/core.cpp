@@ -54,14 +54,15 @@ TransferRequest* TransferCore::create_request(const std::string& protocol,
                                               const std::string& path,
                                               std::int64_t size,
                                               const std::string& user) {
+  double cached = 0.0;
+  {
+    MutexLock cache(cache_mu_);
+    cached = tm_.cache_model().resident_fraction(path, size);
+  }
   TransferRequest* r;
   {
-    // Registry insert + cache-model residency probe happen inside
-    // TransferManager::create_request; hold both domains, acquired in
-    // rank order (registry, then cache).
     MutexLock reg(reg_mu_);
-    MutexLock cache(cache_mu_);
-    r = tm_.create_request(protocol, dir, path, size, user);
+    r = tm_.create_request(protocol, dir, path, size, cached, user);
   }
   auto& stats = obs::Stats::global();
   (r->cached_fraction >= 0.99 ? stats.cache_hot : stats.cache_cold)
@@ -92,6 +93,11 @@ void TransferCore::charge(TransferRequest* r, std::int64_t bytes) {
     tm_.cache_model().observe_access(r->path, r->done - bytes, bytes);
   }
   push_op(r, OpKind::charge, bytes);
+}
+
+void TransferCore::observe_remove(const std::string& path) {
+  MutexLock lock(cache_mu_);
+  tm_.cache_model().observe_remove(path);
 }
 
 void TransferCore::complete(TransferRequest* r) {

@@ -62,6 +62,9 @@ class TransferCore {
   // request's still-pending shard operations first, so the scheduler never
   // sees a dangling request pointer.
   void complete(TransferRequest* r);
+  // The file at `path` (normalised, as TransferTicket::path carries it)
+  // is gone: drop its pages from the cache model.
+  void observe_remove(const std::string& path);
 
   // --- admission, real mode (blocking) ---
   // Submit `r` and block the calling thread until the scheduler grants it

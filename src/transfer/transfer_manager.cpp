@@ -16,6 +16,7 @@ TransferRequest* TransferManager::create_request(const std::string& protocol,
                                                  Direction dir,
                                                  const std::string& path,
                                                  std::int64_t size,
+                                                 double cached_fraction,
                                                  const std::string& user) {
   auto req = std::make_unique<TransferRequest>();
   req->id = next_id_++;
@@ -25,7 +26,7 @@ TransferRequest* TransferManager::create_request(const std::string& protocol,
   req->path = path;
   req->size = size;
   req->arrival = clock_.now();
-  req->cached_fraction = cache_model_.resident_fraction(path, size);
+  req->cached_fraction = cached_fraction;
   std::size_t cls = 0;
   while (cls + 1 < kByteClasses.size() && kByteClasses[cls] != protocol) ++cls;
   req->class_bytes = &class_bytes_[cls];  // falls through to "other"

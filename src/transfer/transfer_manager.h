@@ -49,8 +49,11 @@ class TransferManager {
   // --- request lifecycle ---
   // Registers a request and resolves its byte-class counter once
   // (r->class_bytes), so charging never looks the class up again.
+  // `cached_fraction` is the caller's cache_model() probe for the file,
+  // taken under whatever serialises the model.
   TransferRequest* create_request(const std::string& protocol, Direction dir,
                                   const std::string& path, std::int64_t size,
+                                  double cached_fraction,
                                   const std::string& user = {});
   void enqueue(TransferRequest* r) { scheduler_->enqueue(r); }
   TransferRequest* next() { return scheduler_->next(); }

@@ -291,6 +291,41 @@ TEST_F(DispatcherTest, ApproveRoutesThroughStorageManager) {
             Errc::permission_denied);
 }
 
+// A removed or renamed-away file must not keep reading as hot: the
+// dispatcher drops its modeled pages under the normalised path the
+// transfer path uses.
+TEST_F(DispatcherTest, RemoveAndRenameDropCachedPages) {
+  constexpr std::int64_t kSize = 16 * 1024;
+  const auto write_through = [&](const std::string& path) {
+    auto put = req(protocol::NestOp::put, path);
+    put.size = kSize;
+    auto ticket = dispatcher_.approve_put(put);
+    EXPECT_TRUE(ticket.ok());
+    if (!ticket.ok()) return std::string();
+    auto* r = dispatcher_.core().create_request(
+        "chirp", transfer::Direction::write, ticket->path, kSize);
+    dispatcher_.core().charge(r, kSize);
+    dispatcher_.core().complete(r);
+    EXPECT_DOUBLE_EQ(tm_.cache_model().resident_fraction(ticket->path, kSize),
+                     1.0);
+    return ticket->path;
+  };
+  const std::string gone = write_through("/gone");
+  const std::string kept = write_through("/kept");
+  ASSERT_FALSE(gone.empty());
+  ASSERT_FALSE(kept.empty());
+  ASSERT_TRUE(
+      dispatcher_.execute(req(protocol::NestOp::unlink, "//gone")).status.ok());
+  EXPECT_DOUBLE_EQ(tm_.cache_model().resident_fraction(gone, kSize), 0.0);
+  EXPECT_DOUBLE_EQ(tm_.cache_model().resident_fraction(kept, kSize), 1.0);
+
+  auto mv = req(protocol::NestOp::rename, "/kept/");
+  mv.path2 = "/moved";
+  ASSERT_TRUE(dispatcher_.execute(mv).status.ok());
+  EXPECT_DOUBLE_EQ(tm_.cache_model().resident_fraction(kept, kSize), 0.0);
+  EXPECT_EQ(tm_.cache_model().tracked_pages(), 0);
+}
+
 TEST_F(DispatcherTest, SnapshotAdHasTransferState) {
   const auto ad = dispatcher_.snapshot_ad();
   EXPECT_EQ(ad.eval_string("Type").value(), "Storage");

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <list>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/rng.h"
@@ -273,7 +279,7 @@ TEST(CacheModel, PredictsResidencyAfterAccess) {
   EXPECT_DOUBLE_EQ(m.resident_fraction("/f", 16 * 1024), 0.0);
   m.observe_access("/f", 0, 16 * 1024);
   EXPECT_DOUBLE_EQ(m.resident_fraction("/f", 16 * 1024), 1.0);
-  EXPECT_TRUE(m.probably_cached("/f", 16 * 1024));
+  EXPECT_GE(m.resident_fraction("/f", 16 * 1024), 0.99);
 }
 
 TEST(CacheModel, LruEvictionMirrorsKernel) {
@@ -300,7 +306,7 @@ TEST(CacheModel, PartialResidency) {
   CacheModel m(1024 * 1024, 8192);
   m.observe_access("/f", 0, 4 * 8192);
   EXPECT_DOUBLE_EQ(m.resident_fraction("/f", 8 * 8192), 0.5);
-  EXPECT_FALSE(m.probably_cached("/f", 8 * 8192));
+  EXPECT_LT(m.resident_fraction("/f", 8 * 8192), 0.99);
 }
 
 TEST(CacheModel, RemoveDropsPages) {
@@ -309,6 +315,118 @@ TEST(CacheModel, RemoveDropsPages) {
   m.observe_remove("/f");
   EXPECT_DOUBLE_EQ(m.resident_fraction("/f", 8192), 0.0);
   EXPECT_EQ(m.tracked_pages(), 0);
+}
+
+// The page-at-a-time LRU the run-length model must reproduce exactly: each
+// page of an access moves to the front if resident, else the tail is
+// evicted while the cache is full and the page is pushed.
+class PageLruOracle {
+ public:
+  explicit PageLruOracle(std::int64_t cap_pages) : cap_(cap_pages) {}
+
+  void access(const std::string& path, std::int64_t first_page,
+              std::int64_t last_page) {
+    for (std::int64_t p = first_page; p <= last_page; ++p) {
+      const Page key{path, p};
+      if (const auto it = pos_.find(key); it != pos_.end()) {
+        lru_.splice(lru_.begin(), lru_, it->second);
+        continue;
+      }
+      while (static_cast<std::int64_t>(pos_.size()) >= cap_ && !lru_.empty()) {
+        pos_.erase(lru_.back());
+        lru_.pop_back();
+      }
+      lru_.push_front(key);
+      pos_[key] = lru_.begin();
+    }
+  }
+  void remove(const std::string& path) {
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if (it->first == path) {
+        pos_.erase(*it);
+        it = lru_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  bool resident(const std::string& path, std::int64_t page) const {
+    return pos_.count(Page{path, page}) != 0;
+  }
+  std::int64_t size() const { return static_cast<std::int64_t>(pos_.size()); }
+
+ private:
+  using Page = std::pair<std::string, std::int64_t>;
+  std::int64_t cap_;
+  std::list<Page> lru_;
+  std::map<Page, std::list<Page>::iterator> pos_;
+};
+
+// Differential check: seeded random traces over a few files, with ranges
+// that split runs in the middle and at either end, re-touch the most
+// recent pages, overrun the cache, and remove files. After every step the
+// model must track exactly the oracle's pages.
+TEST(CacheModel, MatchesPageLruOracle) {
+  constexpr std::int64_t kPage = 8192;
+  constexpr std::int64_t kFilePages = 48;
+  const std::vector<std::string> files = {"/a", "/b", "/c", "/d"};
+  Rng rng(20020724);
+  for (const std::int64_t cap : {0, 1, 2, 3, 5, 8, 13, 24, 40}) {
+    SCOPED_TRACE("capacity " + std::to_string(cap) + " pages");
+    for (int trace = 0; trace < 12; ++trace) {
+      CacheModel model(cap * kPage, kPage);
+      PageLruOracle oracle(cap);
+      std::string last_path = files[0];
+      std::int64_t last_lo = 0;
+      std::int64_t last_hi = 0;
+      for (int step = 0; step < 150; ++step) {
+        const std::int64_t kind = rng.uniform(0, 19);
+        if (kind == 0) {
+          const std::string& path =
+              files[static_cast<std::size_t>(rng.uniform(0, 3))];
+          model.observe_remove(path);
+          oracle.remove(path);
+        } else {
+          std::string path;
+          std::int64_t lo = 0;
+          std::int64_t hi = 0;
+          if (kind <= 3) {
+            // Inside (or at the ends of) the most recent access.
+            path = last_path;
+            lo = rng.uniform(last_lo, last_hi);
+            hi = rng.uniform(lo, last_hi);
+          } else {
+            path = files[static_cast<std::size_t>(rng.uniform(0, 3))];
+            lo = rng.uniform(0, kFilePages - 1);
+            hi = std::min(kFilePages - 1, lo + rng.uniform(0, cap + 4));
+          }
+          // Byte ranges need not start or end on a page boundary.
+          const std::int64_t off = lo * kPage + rng.uniform(0, kPage / 2);
+          const std::int64_t end =
+              hi * kPage + rng.uniform(kPage / 2 + 1, kPage);
+          model.observe_access(path, off, end - off);
+          oracle.access(path, lo, hi);
+          last_path = path;
+          last_lo = lo;
+          last_hi = hi;
+        }
+        ASSERT_EQ(model.tracked_pages(), oracle.size()) << "step " << step;
+        for (const std::string& path : files) {
+          // Page p is resident iff the resident count of the first p+1
+          // pages exceeds that of the first p.
+          std::int64_t below = 0;
+          for (std::int64_t p = 0; p < kFilePages; ++p) {
+            const std::int64_t upto = std::llround(
+                model.resident_fraction(path, (p + 1) * kPage) *
+                static_cast<double>(p + 1));
+            ASSERT_EQ(upto - below, oracle.resident(path, p) ? 1 : 0)
+                << "step " << step << " " << path << " page " << p;
+            below = upto;
+          }
+        }
+      }
+    }
+  }
 }
 
 // Property: hit fraction is monotone in modeled cache size for a fixed
