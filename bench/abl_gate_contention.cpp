@@ -43,9 +43,9 @@ class LegacyGate {
                                   const std::string& path, std::int64_t size,
                                   const std::string& user = {}) {
     std::lock_guard lock(mu_);
-    return tm_.create_request(protocol, dir, path, size,
-                              tm_.cache_model().resident_fraction(path, size),
-                              user);
+    return tm_.create_request(
+        protocol, dir, path, size,
+        tm_.cache_model().resident_fraction(path, 0, size), user);
   }
 
   // The seed's TransferManager::charge, inlined under the one mutex:

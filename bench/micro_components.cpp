@@ -98,7 +98,7 @@ void BM_CacheModelPredict(benchmark::State& state) {
   const std::int64_t size = state.range(0);
   model.observe_access("/f", 0, size);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.resident_fraction("/f", size));
+    benchmark::DoNotOptimize(model.resident_fraction("/f", 0, size));
   }
 }
 BENCHMARK(BM_CacheModelPredict)->Arg(10'000'000)->Arg(1'000'000'000);
@@ -118,7 +118,7 @@ void BM_CacheModelBulkTransfer(benchmark::State& state) {
   for (auto _ : state) {
     const std::string& path = paths[next];
     next = (next + 1) % paths.size();
-    benchmark::DoNotOptimize(model.resident_fraction(path, kFile));
+    benchmark::DoNotOptimize(model.resident_fraction(path, 0, kFile));
     for (std::int64_t off = 0; off < kFile; off += kBlock) {
       model.observe_access(path, off, kBlock);
     }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: lint, then full build + full test suite (lock-rank deadlock
 # detector armed), the timing-sensitive suites repeated to surface flakes,
-# then the concurrency-labelled stress tests again under
+# then the concurrency- and recovery-labelled tests again under
 # ThreadSanitizer, the recovery-labelled journal/crash tests under
 # Address+UB sanitizer, and the whole suite once more under UBSan alone
 # (separate build trees so instrumented objects never mix). Each leg is
@@ -56,12 +56,12 @@ leg "flake hunt: fault/chaos/cluster/hsm/conformance suites, three runs each"
 ctest --preset default -L 'fault|chaos|cluster|hsm|conformance' \
   --repeat until-fail:3
 
-leg "ThreadSanitizer pass over concurrency/obs/conformance/chaos/cluster/scale/hsm tests"
+leg "ThreadSanitizer pass over concurrency/recovery/obs/conformance/chaos/cluster/scale/hsm tests"
 cmake --preset tsan
 # Only the labelled binaries need instrumenting; keeps the tsan tree cheap.
 cmake --build --preset tsan -j "${JOBS}" \
-  --target transfer_core_test obs_test conformance_test chaos_test cluster_test \
-          scale_test loadgen_test hsm_test
+  --target transfer_core_test journal_test obs_test conformance_test chaos_test \
+          cluster_test scale_test loadgen_test hsm_test
 TSAN_OPTIONS="halt_on_error=1" ctest --preset tsan
 
 leg "AddressSanitizer pass over recovery/obs/conformance/fault/chaos/cluster/scale/hsm tests"

@@ -104,6 +104,7 @@ const char* rank_name(Rank r) noexcept {
     case Rank::storage_file: return "storage_file";
     case Rank::cluster_ship: return "cluster_ship";
     case Rank::journal: return "journal";
+    case Rank::journal_io: return "journal_io";
     case Rank::transfer_sched: return "transfer_sched";
     case Rank::transfer_shard: return "transfer_shard";
     case Rank::transfer_registry: return "transfer_registry";

@@ -33,7 +33,8 @@ namespace nest::lockrank {
 //
 //   storage_meta < storage_file   (stat/create touch file data under mu_)
 //   storage_meta < journal        (seal_batch appends under mu_)
-//   journal < fault_point         (journal I/O failpoints fire under mu_)
+//   journal < journal_io < fault_point  (write_snapshot rolls the segment
+//       under mu_; journal I/O failpoints fire under io_mu_)
 //   cluster_membership < storage_meta/journal  (membership before journal,
 //       never inverse: the heartbeat/status paths read the peer table and
 //       then consult storage/journal state; the apply path must never hold
@@ -65,6 +66,7 @@ enum class Rank : int {
   storage_file = 34,         // MemFs per-file payload; ExtentFs inodes
   cluster_ship = 36,         // cluster replication ship queue + cursors
   journal = 38,              // journal::Journal append/commit state
+  journal_io = 40,           // journal::Journal segment fd (flush token)
   transfer_sched = 42,       // TransferCore scheduler + drain
   transfer_shard = 44,       // TransferCore per-class op shards
   transfer_registry = 46,    // TransferCore request registry

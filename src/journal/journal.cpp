@@ -114,13 +114,14 @@ std::string encode_frame(Lsn lsn, std::string_view payload) {
 
 Result<SyncMode> sync_mode_by_name(const std::string& name) {
   if (name == "none") return SyncMode::none;
-  if (name == "group") return SyncMode::group;
   if (name == "always") return SyncMode::always;
   return Error{Errc::invalid_argument, "unknown journal sync '" + name + "'"};
 }
 
 Journal::Journal(Clock& clock, JournalOptions options)
-    : clock_(clock), options_(std::move(options)) {}
+    : clock_(clock),
+      options_(std::move(options)),
+      frames_until_crash_(options_.crash_after_frames) {}
 
 Result<std::unique_ptr<Journal>> Journal::open(Clock& clock,
                                                JournalOptions options) {
@@ -132,27 +133,19 @@ Result<std::unique_ptr<Journal>> Journal::open(Clock& clock,
   }
   std::unique_ptr<Journal> j(new Journal(clock, std::move(options)));
   {
-    // No other thread exists yet; the lock is for analyzability only.
+    // No other thread exists yet; the locks are for analyzability only.
     MutexLock lock(j->mu_);
+    MutexLock io(j->io_mu_);
     if (auto s = j->recover(); !s.ok()) return Error{s.error()};
-  }
-  if (j->options_.sync == SyncMode::group) {
-    j->committer_ = std::thread([p = j.get()] { p->committer_main(); });
   }
   return j;
 }
 
 Journal::~Journal() {
-  {
-    MutexLock lock(mu_);
-    stop_ = true;
-    // Shutdown flush is best-effort; on failure flush_locked goes dead.
-    if (!dead_ && !pending_.empty()) (void)flush_locked();
-  }
-  committer_cv_.notify_all();
-  durable_cv_.notify_all();
-  if (committer_.joinable()) committer_.join();
-  MutexLock lock(mu_);
+  // Shutdown flush of every appended record, as a commit leader would.
+  // Best-effort; on failure the journal goes dead.
+  (void)commit(~Lsn{0});
+  MutexLock io(io_mu_);
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -289,10 +282,10 @@ Status Journal::recover() {
 
   // Append head: always start a fresh segment — cheap, and it never
   // reopens a file whose tail state we would otherwise have to trust.
-  return open_segment_locked(next_lsn_);
+  return open_segment(next_lsn_);
 }
 
-Status Journal::open_segment_locked(Lsn start_lsn) {
+Status Journal::open_segment(Lsn start_lsn) {
   NEST_FAILPOINT("journal.segment_roll", return Status{err});
   if (fd_ >= 0) {
     ::close(fd_);
@@ -315,7 +308,7 @@ Status Journal::open_segment_locked(Lsn start_lsn) {
   if (options_.sync != SyncMode::none) {
     if (::fsync(fd_) != 0)
       return Status{Errc::io_error, "fsync " + seg_path_};
-    ++fsyncs_;
+    fsyncs_.fetch_add(1, std::memory_order_relaxed);
     seg_durable_size_ = seg_size_;
     // Best-effort: a lost directory entry reads as a missing tail segment,
     // which recovery tolerates.
@@ -326,6 +319,8 @@ Status Journal::open_segment_locked(Lsn start_lsn) {
   std::erase_if(segments_,
                 [&](const Segment& s) { return s.path == seg_path_; });
   segments_.push_back(Segment{seg_path_, start_lsn});
+  segment_count_.store(static_cast<int>(segments_.size()),
+                       std::memory_order_relaxed);
   return {};
 }
 
@@ -342,78 +337,55 @@ Result<Lsn> Journal::append(std::string payload) {
     return err;
   });
   const Lsn lsn = next_lsn_++;
-  if (pending_.empty()) pending_first_lsn_ = lsn;
   pending_.push_back(encode_frame(lsn, payload));
   ++appends_;
   ++records_since_snapshot_;
   return lsn;
 }
 
-Status Journal::flush_locked() {
-  if (dead_) return Status{Errc::io_error, "journal is dead"};
-  if (pending_.empty()) return {};
+Status Journal::write_frames(const std::vector<std::string>& frames,
+                             Lsn first) {
+  MutexLock io(io_mu_);
   // Roll when the live segment is over the threshold; the new segment
-  // starts at the first pending LSN.
+  // starts at the first frame's LSN.
   if (seg_size_ >= options_.segment_bytes) {
-    if (auto s = open_segment_locked(pending_first_lsn_); !s.ok()) {
-      // A WAL that cannot open its next segment is broken: marking it dead
-      // keeps the pending frames from becoming durable on a later retry
-      // after their ops were already reported as failed.
-      dead_ = true;
-      durable_cv_.notify_all();
-      return s;
-    }
+    if (auto s = open_segment(first); !s.ok()) return s;
   }
-  Lsn written_upto = durable_lsn_;
   // A failed write or fsync leaves durability unknown for everything
   // since the last successful fsync: those ops were (or will be)
   // reported as failed, so the bytes must not survive into recovery.
-  // Discard them before going dead, exactly like the crash path.
+  // Discard them, exactly like the crash path.
+  const std::int64_t keep =
+      seg_durable_size_ > 0 ? seg_durable_size_
+                            : static_cast<std::int64_t>(kSegmentHeaderBytes);
   const auto fail_discarding = [&](Status s) {
-    const std::int64_t keep =
-        seg_durable_size_ > 0
-            ? seg_durable_size_
-            : static_cast<std::int64_t>(kSegmentHeaderBytes);
     // Already failing: shrinking back to the durable prefix is damage control.
     (void)::ftruncate(fd_, static_cast<off_t>(keep));
-    // Seek result is irrelevant once dead_ is set; nothing writes after.
+    // Seek result is irrelevant once the journal is dead; nothing writes after.
     (void)::lseek(fd_, 0, SEEK_END);
     seg_size_ = keep;
-    dead_ = true;
-    durable_cv_.notify_all();
     return s;
   };
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    const std::string& frame = pending_[i];
-    bool tear = options_.crash_after_frames == 0;
+  for (const std::string& frame : frames) {
+    bool tear = frames_until_crash_ == 0;
     NEST_FAILPOINT("journal.crash", tear = true);
     if (tear) {
       // Injected crash: discard everything past the last fsync (emulating
       // page-cache loss — frames written earlier in this very flush die
       // too) and leave a torn half-frame behind for recovery to truncate.
-      const std::int64_t keep =
-          seg_durable_size_ > 0
-              ? seg_durable_size_
-              : static_cast<std::int64_t>(kSegmentHeaderBytes);
-      // Emulated page-cache loss: errors cannot make the crash less crashed.
-      (void)::ftruncate(fd_, static_cast<off_t>(keep));
-      // Seek result is irrelevant; the journal is dead after this block.
-      (void)::lseek(fd_, 0, SEEK_END);
+      (void)fail_discarding({});
       // The half-frame is deliberate tear bait; a short write tears just as
       // well.
       (void)write_all_fd(fd_, frame.data(), frame.size() / 2);
-      seg_size_ = keep + static_cast<std::int64_t>(frame.size() / 2);
-      dead_ = true;
-      durable_cv_.notify_all();
+      seg_size_ += static_cast<std::int64_t>(frame.size() / 2);
       return Status{Errc::io_error, "journal crashed (injected)"};
     }
-    if (options_.crash_after_frames > 0) --options_.crash_after_frames;
+    if (frames_until_crash_ > 0) --frames_until_crash_;
     Status ws;
     NEST_FAILPOINT("journal.write", ws = Status{err});
     if (ws.ok()) ws = write_all_fd(fd_, frame.data(), frame.size());
     if (!ws.ok()) return fail_discarding(ws);
     seg_size_ += static_cast<std::int64_t>(frame.size());
-    ++written_upto;
   }
   if (options_.sync != SyncMode::none) {
     Status fs;
@@ -421,42 +393,42 @@ Status Journal::flush_locked() {
     if (fs.ok() && ::fsync(fd_) != 0)
       fs = Status{Errc::io_error, "fsync " + seg_path_};
     if (!fs.ok()) return fail_discarding(fs);
-    ++fsyncs_;
+    fsyncs_.fetch_add(1, std::memory_order_relaxed);
   }
   seg_durable_size_ = seg_size_;
-  durable_lsn_ = written_upto;
-  pending_.clear();
-  durable_cv_.notify_all();
   return {};
 }
 
 Status Journal::commit(Lsn upto) {
   if (upto == 0) return {};
+  MutexLock lock(mu_);
   ++commits_;
-  switch (options_.sync) {
-    case SyncMode::none: {
-      // No durability barrier; still push bytes to the OS so a clean
-      // shutdown leaves a replayable log.
-      MutexLock lock(mu_);
-      if (durable_lsn_ >= upto) return {};
-      return flush_locked();
+  while (durable_lsn_ < upto) {
+    if (dead_) return Status{Errc::io_error, "journal is dead"};
+    if (flushing_) {
+      // Follower: the leader's flush may cover `upto`; if it does not,
+      // the next pass elects a new leader.
+      durable_cv_.wait(lock);
+      continue;
     }
-    case SyncMode::always: {
-      MutexLock lock(mu_);
-      if (durable_lsn_ >= upto) return {};
-      return flush_locked();
-    }
-    case SyncMode::group: {
-      // Timer-driven batching: the committer fsyncs once per interval,
-      // amortizing the flush across every record appended meanwhile.
-      MutexLock lock(mu_);
-      durable_cv_.wait(lock,
-                       [&] { return durable_lsn_ >= upto || dead_ || stop_; });
-      if (durable_lsn_ >= upto) return {};
-      return Status{Errc::io_error, "journal died before commit"};
-    }
+    if (pending_.empty()) break;  // `upto` was never appended
+    // Leader: take every pending frame and write it with mu_ dropped, so
+    // appends keep running during the fsync and ride the next leader's.
+    flushing_ = true;
+    std::vector<std::string> frames;
+    frames.swap(pending_);
+    const Lsn first = next_lsn_ - frames.size();
+    lock.unlock();
+    const Status s = write_frames(frames, first);
+    lock.lock();
+    flushing_ = false;
+    // On failure, frames appended meanwhile stay pending, never written.
+    if (s.ok()) durable_lsn_ = first + frames.size() - 1;
+    else dead_ = true;
+    durable_cv_.notify_all();
+    if (!s.ok()) return s;
   }
-  return Status{Errc::internal, "bad sync mode"};
+  return {};
 }
 
 Result<Lsn> Journal::append_commit(std::string payload) {
@@ -464,18 +436,6 @@ Result<Lsn> Journal::append_commit(std::string payload) {
   if (!lsn.ok()) return lsn;
   if (auto s = commit(*lsn); !s.ok()) return Error{s.error()};
   return lsn;
-}
-
-void Journal::committer_main() {
-  MutexLock lock(mu_);
-  while (!stop_) {
-    committer_cv_.wait_for(
-        lock, std::chrono::nanoseconds(options_.commit_interval),
-        [&] { return stop_; });
-    if (stop_) break;
-    // Flush failure marks the journal dead; the loop then idles until stop.
-    if (!dead_ && !pending_.empty()) (void)flush_locked();
-  }
 }
 
 Status Journal::replay(
@@ -493,10 +453,22 @@ void Journal::drop_recovered_tail() {
 
 Status Journal::write_snapshot(const std::string& payload) {
   MutexLock lock(mu_);
+  // Wait out an in-flight leader. Holding mu_ from here on keeps the
+  // flush token ours until the snapshot and its segment roll are done.
+  durable_cv_.wait(lock, [&] { return !flushing_; });
   if (dead_) return Status{Errc::io_error, "journal is dead"};
   // The snapshot covers every appended record: flush them first so the
   // on-disk state never goes backwards if the snapshot write dies.
-  if (auto s = flush_locked(); !s.ok()) return s;
+  if (!pending_.empty()) {
+    std::vector<std::string> frames;
+    frames.swap(pending_);
+    if (auto s = write_frames(frames, next_lsn_ - frames.size()); !s.ok()) {
+      dead_ = true;
+      durable_cv_.notify_all();
+      return s;
+    }
+    durable_lsn_ = next_lsn_ - 1;
+  }
   // Snapshot failures are non-fatal: segments are intact, replay stays
   // complete, the caller just keeps the longer tail.
   NEST_FAILPOINT("journal.snapshot", return Status{err});
@@ -539,11 +511,15 @@ Status Journal::write_snapshot(const std::string& payload) {
 
   // Compaction: roll to a fresh segment, then delete everything the
   // snapshot supersedes (all older segments and the previous snapshot).
-  if (auto s = open_segment_locked(next_lsn_); !s.ok()) return s;
-  while (segments_.size() > 1) {
-    // Best-effort: an undeleted old segment is re-compacted next time.
-    (void)::unlink(segments_.front().path.c_str());
-    segments_.erase(segments_.begin());
+  {
+    MutexLock io(io_mu_);
+    if (auto s = open_segment(next_lsn_); !s.ok()) return s;
+    while (segments_.size() > 1) {
+      // Best-effort: an undeleted old segment is re-compacted next time.
+      (void)::unlink(segments_.front().path.c_str());
+      segments_.erase(segments_.begin());
+    }
+    segment_count_.store(1, std::memory_order_relaxed);
   }
   if (!old_snapshot.empty() && old_snapshot != path) {
     // Best-effort: a leftover old snapshot is superseded, never replayed.
@@ -560,12 +536,12 @@ JournalStats Journal::stats() const {
   st.last_lsn = next_lsn_ - 1;
   st.durable_lsn = durable_lsn_;
   st.snapshot_lsn = snapshot_lsn_;
-  st.segment_count = static_cast<int>(segments_.size());
+  st.segment_count = segment_count_.load(std::memory_order_relaxed);
   st.records_since_snapshot = records_since_snapshot_;
   st.snapshot_time = snapshot_time_;
   st.appends = appends_;
   st.commits = commits_;
-  st.fsyncs = fsyncs_;
+  st.fsyncs = fsyncs_.load(std::memory_order_relaxed);
   return st;
 }
 

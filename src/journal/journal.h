@@ -16,12 +16,11 @@
 // truncates (a crash mid-write never corrupts acknowledged records
 // because acknowledgment waits for commit()).
 //
-// Durability modes:
-//   always  every commit() flushes + fsyncs the caller's record
-//   group   a committer thread batches appends and fsyncs once per
-//           commit interval; commit() blocks until the caller's LSN is
-//           covered by a batch fsync (group commit)
-//   none    commit() returns immediately (benchmark baseline only)
+// Commit is leader/follower group commit: the first commit() caller whose
+// LSN is not durable takes every pending frame, drops the lock, writes
+// and fsyncs once, then wakes the followers; appends made meanwhile ride
+// the next leader's fsync. SyncMode `none` skips the fsync (volatile;
+// for benchmarks and simulation), `always` is the default.
 //
 // Crash-point fault injection: with crash_after_frames >= 0, the Nth
 // frame write tears mid-frame, un-fsynced bytes are discarded (emulating
@@ -31,12 +30,12 @@
 // equivalent `journal.crash` failpoint instead.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -48,15 +47,14 @@ namespace nest::journal {
 // Log sequence number; 1 is the first record, 0 means "nothing".
 using Lsn = std::uint64_t;
 
-enum class SyncMode { none, group, always };
+enum class SyncMode { none, always };
 
-// "none" | "group" | "always".
+// "none" | "always".
 NEST_NODISCARD Result<SyncMode> sync_mode_by_name(const std::string& name);
 
 struct JournalOptions {
   std::string dir;
   SyncMode sync = SyncMode::always;
-  Nanos commit_interval = 5 * kMillisecond;  // group-commit fsync cadence
   std::int64_t segment_bytes = 4 * 1024 * 1024;  // roll threshold
   // Per-instance crash point: tear the (N+1)th frame written to the OS
   // and go dead. -1 disables. The process-wide
@@ -126,43 +124,55 @@ class Journal {
  private:
   explicit Journal(Clock& clock, JournalOptions options);
 
-  // Runs under mu_ from open(): no other thread exists yet, but holding
-  // the lock keeps every access to the guarded members analyzable.
-  Status recover() REQUIRES(mu_);
-  Status open_segment_locked(Lsn start_lsn) REQUIRES(mu_);
-  // Write pending frames + fsync per mode.
-  Status flush_locked() REQUIRES(mu_);
-  void committer_main();
+  // Runs under both locks from open(): no other thread exists yet, but
+  // holding them keeps every access to the guarded members analyzable.
+  Status recover() REQUIRES(mu_, io_mu_);
+  Status open_segment(Lsn start_lsn) REQUIRES(io_mu_);
+  // Write `frames` (LSNs first, first+1, ...) to the live segment, rolling
+  // it first when it is over the threshold, and fsync per mode. On
+  // failure everything past the last good fsync is discarded and the
+  // caller marks the journal dead. The caller holds the flush token.
+  Status write_frames(const std::vector<std::string>& frames, Lsn first)
+      EXCLUDES(io_mu_);
 
   Clock& clock_;
-  JournalOptions options_;
+  const JournalOptions options_;
 
   mutable Mutex mu_{lockrank::Rank::journal, "journal.mu"};
+  // Signalled whenever durable_lsn_, dead_ or flushing_ changes.
   CondVar durable_cv_;
-  CondVar committer_cv_;
 
   // Append state.
   Lsn next_lsn_ GUARDED_BY(mu_) = 1;
   Lsn durable_lsn_ GUARDED_BY(mu_) = 0;
-  // Encoded frames awaiting flush.
+  // Encoded frames awaiting a flush: LSNs next_lsn_ - pending_.size()
+  // through next_lsn_ - 1.
   std::vector<std::string> pending_ GUARDED_BY(mu_);
-  Lsn pending_first_lsn_ GUARDED_BY(mu_) = 0;
   bool dead_ GUARDED_BY(mu_) = false;
+  // The flush token, which keeps frames in LSN order on disk: only its
+  // holder writes the segment. The commit leader sets it and drops mu_;
+  // write_snapshot waits for it to clear and keeps mu_ held instead.
+  bool flushing_ GUARDED_BY(mu_) = false;
 
-  // Current segment.
-  int fd_ GUARDED_BY(mu_) = -1;
-  std::string seg_path_ GUARDED_BY(mu_);
+  // Segment I/O state. Only the flush-token holder (and recovery, before
+  // the journal is shared) takes io_mu_, so it is never contended. It
+  // ranks inside mu_; the leader releases it before re-taking mu_.
+  Mutex io_mu_{lockrank::Rank::journal_io, "journal.io"};
+  int fd_ GUARDED_BY(io_mu_) = -1;
+  std::string seg_path_ GUARDED_BY(io_mu_);
   // Bytes written (incl. header).
-  std::int64_t seg_size_ GUARDED_BY(mu_) = 0;
+  std::int64_t seg_size_ GUARDED_BY(io_mu_) = 0;
   // Bytes covered by the last fsync.
-  std::int64_t seg_durable_size_ GUARDED_BY(mu_) = 0;
+  std::int64_t seg_durable_size_ GUARDED_BY(io_mu_) = 0;
+  // Frames still to write before the injected tear; -1 = never.
+  long frames_until_crash_ GUARDED_BY(io_mu_);
 
   struct Segment {
     std::string path;
     Lsn start_lsn = 0;
   };
   // In start-LSN order; back() is live.
-  std::vector<Segment> segments_ GUARDED_BY(mu_);
+  std::vector<Segment> segments_ GUARDED_BY(io_mu_);
 
   // Snapshot state.
   // snapshot_payload_ is a recovery artifact: written once under mu_ in
@@ -179,13 +189,11 @@ class Journal {
   // drop_recovered_tail() before the journal serves concurrent callers.
   std::vector<std::pair<Lsn, std::string>> recovered_;
 
-  // Counters.
+  // Counters; the flush-token holder bumps the atomic ones without mu_.
   std::uint64_t appends_ GUARDED_BY(mu_) = 0;
   std::uint64_t commits_ GUARDED_BY(mu_) = 0;
-  std::uint64_t fsyncs_ GUARDED_BY(mu_) = 0;
-
-  std::thread committer_;
-  bool stop_ GUARDED_BY(mu_) = false;
+  std::atomic<std::uint64_t> fsyncs_{0};
+  std::atomic<int> segment_count_{0};
 };
 
 }  // namespace nest::journal

@@ -51,7 +51,7 @@ Status TransferExecutor::move_blocks(const std::string& protocol,
   TransferRequest* req =
       core_.create_request(protocol,
                            send ? Direction::read : Direction::write,
-                           ticket.path, size, ticket.user);
+                           ticket.path, size, ticket.user, start_offset);
   const Nanos start = clock_.now();
   Status result;
   std::vector<char> buf(static_cast<std::size_t>(block_bytes_));
@@ -220,7 +220,7 @@ Result<std::int64_t> TransferExecutor::read_block(
   const Nanos start = clock_.now();
   TransferRequest* req = core_.create_request(
       protocol, Direction::read, ticket.path,
-      static_cast<std::int64_t>(buf.size()), ticket.user);
+      static_cast<std::int64_t>(buf.size()), ticket.user, offset);
   {
     std::optional<Error> grant_err;
     NEST_FAILPOINT("transfer.grant", grant_err = err);
@@ -247,7 +247,7 @@ Result<std::int64_t> TransferExecutor::write_block(
   const Nanos start = clock_.now();
   TransferRequest* req = core_.create_request(
       protocol, Direction::write, ticket.path,
-      static_cast<std::int64_t>(buf.size()), ticket.user);
+      static_cast<std::int64_t>(buf.size()), ticket.user, offset);
   {
     std::optional<Error> grant_err;
     NEST_FAILPOINT("transfer.grant", grant_err = err);

@@ -136,7 +136,6 @@ Status NestServer::init() {
     journal::JournalOptions jopts;
     jopts.dir = options_.journal_dir;
     jopts.sync = options_.journal_sync;
-    jopts.commit_interval = options_.journal_commit_interval;
     auto j = journal::Journal::open(RealClock::instance(), jopts);
     if (!j.ok()) return Status{j.error()};
     journal_ = std::move(j.value());

@@ -104,8 +104,7 @@ struct NestServerOptions {
   // once durable per journal_sync.
   std::string journal_dir;
   journal::SyncMode journal_sync = journal::SyncMode::always;
-  Nanos journal_commit_interval = 5 * kMillisecond;  // group-commit cadence
-  std::uint64_t journal_snapshot_every = 4096;       // compaction cadence
+  std::uint64_t journal_snapshot_every = 4096;  // compaction cadence
 
   // Failpoints to arm at startup, "name=spec;name=spec" (action grammar:
   // docs/fault-injection.md). Armed in init() before any endpoint binds;

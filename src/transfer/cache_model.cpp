@@ -113,19 +113,24 @@ void CacheModel::observe_remove(const std::string& path) {
 }
 
 double CacheModel::resident_fraction(const std::string& path,
+                                     std::int64_t offset,
                                      std::int64_t size) const {
   if (size <= 0) return 1.0;
-  const std::int64_t pages = (size + page_bytes_ - 1) / page_bytes_;
+  const std::int64_t first = offset / page_bytes_;
+  const std::int64_t last = (offset + size - 1) / page_bytes_;
   std::int64_t resident = 0;
   if (const auto fit = files_.find(path); fit != files_.end()) {
-    for (const auto& [lo, r] : fit->second.runs) {
-      if (lo >= pages) break;
-      const std::int64_t from = std::max<std::int64_t>(lo, 0);
-      const std::int64_t to = std::min(r->hi, pages - 1);
+    const auto& runs = fit->second.runs;
+    // Start at the run that may straddle `first`.
+    auto it = runs.upper_bound(first);
+    if (it != runs.begin()) --it;
+    for (; it != runs.end() && it->first <= last; ++it) {
+      const std::int64_t from = std::max(it->first, first);
+      const std::int64_t to = std::min(it->second->hi, last);
       if (to >= from) resident += to - from + 1;
     }
   }
-  return static_cast<double>(resident) / static_cast<double>(pages);
+  return static_cast<double>(resident) / static_cast<double>(last - first + 1);
 }
 
 }  // namespace nest::transfer

@@ -24,9 +24,9 @@
 // Cost per call: observe_access is O(runs the range touches + runs it
 // evicts) map/list steps; a sequential stream extends the front run and
 // trims the tail run, so a 64 KiB block is a few map operations.
-// resident_fraction is O(runs of the file below `size`) — one step for a
-// file that was read or written straight through. observe_remove is
-// O(runs of the file).
+// resident_fraction is O(log runs + runs of the file the range overlaps)
+// — one step for a file that was read or written straight through.
+// observe_remove is O(runs of the file).
 //
 // Not thread-safe; transfer::TransferCore serialises it under cache_mu_.
 #pragma once
@@ -56,8 +56,9 @@ class CacheModel {
   // Record that `path` was removed (its pages die with it).
   void observe_remove(const std::string& path);
 
-  // Predicted fraction of the first `size` bytes resident right now.
-  double resident_fraction(const std::string& path, std::int64_t size) const;
+  // Predicted fraction of bytes [offset, offset+size) resident right now.
+  double resident_fraction(const std::string& path, std::int64_t offset,
+                           std::int64_t size) const;
 
   std::int64_t page_bytes() const { return page_bytes_; }
   std::int64_t tracked_pages() const { return tracked_; }

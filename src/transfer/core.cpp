@@ -53,16 +53,17 @@ TransferRequest* TransferCore::create_request(const std::string& protocol,
                                               Direction dir,
                                               const std::string& path,
                                               std::int64_t size,
-                                              const std::string& user) {
+                                              const std::string& user,
+                                              std::int64_t offset) {
   double cached = 0.0;
   {
     MutexLock cache(cache_mu_);
-    cached = tm_.cache_model().resident_fraction(path, size);
+    cached = tm_.cache_model().resident_fraction(path, offset, size);
   }
   TransferRequest* r;
   {
     MutexLock reg(reg_mu_);
-    r = tm_.create_request(protocol, dir, path, size, cached, user);
+    r = tm_.create_request(protocol, dir, path, size, cached, user, offset);
   }
   auto& stats = obs::Stats::global();
   (r->cached_fraction >= 0.99 ? stats.cache_hot : stats.cache_cold)
@@ -90,7 +91,8 @@ void TransferCore::charge(TransferRequest* r, std::int64_t bytes) {
   r->class_bytes->fetch_add(bytes, std::memory_order_relaxed);
   {
     MutexLock lock(cache_mu_);
-    tm_.cache_model().observe_access(r->path, r->done - bytes, bytes);
+    tm_.cache_model().observe_access(r->path, r->offset + r->done - bytes,
+                                     bytes);
   }
   push_op(r, OpKind::charge, bytes);
 }

@@ -49,9 +49,11 @@ class TransferCore {
   TransferCore(TransferManager& tm, int slots);
 
   // --- request lifecycle (thread-safe) ---
+  // The transfer covers bytes [offset, offset+size) of `path`.
   TransferRequest* create_request(const std::string& protocol, Direction dir,
                                   const std::string& path, std::int64_t size,
-                                  const std::string& user = {});
+                                  const std::string& user = {},
+                                  std::int64_t offset = 0);
   // Account `bytes` moved for `r`: the only charge path. Byte accounting
   // is immediate and lock-free; the scheduler charge is deferred to the
   // shard and applied before the next grant decision (callers charge

@@ -22,6 +22,7 @@ struct TransferRequest {
   std::string user;
   Direction dir = Direction::read;
   std::string path;
+  std::int64_t offset = 0; // file offset the transfer starts at
   std::int64_t size = 0;   // expected bytes (0 when unknown)
   std::int64_t done = 0;   // bytes moved so far
   Nanos arrival = 0;

@@ -17,13 +17,15 @@ TransferRequest* TransferManager::create_request(const std::string& protocol,
                                                  const std::string& path,
                                                  std::int64_t size,
                                                  double cached_fraction,
-                                                 const std::string& user) {
+                                                 const std::string& user,
+                                                 std::int64_t offset) {
   auto req = std::make_unique<TransferRequest>();
   req->id = next_id_++;
   req->protocol = protocol;
   req->user = user;
   req->dir = dir;
   req->path = path;
+  req->offset = offset;
   req->size = size;
   req->arrival = clock_.now();
   req->cached_fraction = cached_fraction;

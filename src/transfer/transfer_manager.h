@@ -54,7 +54,8 @@ class TransferManager {
   TransferRequest* create_request(const std::string& protocol, Direction dir,
                                   const std::string& path, std::int64_t size,
                                   double cached_fraction,
-                                  const std::string& user = {});
+                                  const std::string& user = {},
+                                  std::int64_t offset = 0);
   void enqueue(TransferRequest* r) { scheduler_->enqueue(r); }
   TransferRequest* next() { return scheduler_->next(); }
   // Non-work-conserving hold hint (0 = none).

@@ -1,9 +1,11 @@
 // Recovery tests for the durable metadata journal: record codec, torn-tail
-// truncation, snapshot + tail replay, crash-point fault injection, group
-// commit, and a full server restart over Chirp. The binary carries the
-// `recovery` CTest label so tier-1 can rerun it under asan.
+// truncation, snapshot + tail replay, crash-point fault injection,
+// leader/follower commit, and a full server restart over Chirp. The binary
+// carries the `recovery` CTest label so tier-1 can rerun it under tsan and
+// asan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -11,6 +13,7 @@
 
 #include "client/chirp_client.h"
 #include "common/clock.h"
+#include "fault/failpoint.h"
 #include "journal/crc32c.h"
 #include "journal/journal.h"
 #include "journal/record.h"
@@ -220,43 +223,38 @@ TEST_F(JournalTest, CorruptSegmentDropsLaterSegments) {
   EXPECT_EQ((*j)->append_commit("seg2b").value(), 2u);
 }
 
-TEST_F(JournalTest, GroupCommitBatchesFsyncs) {
+// While a commit leader sits in its fsync, the journal lock is free:
+// appends return at once, and the next commit covers all of them with a
+// single fsync.
+TEST_F(JournalTest, AppendsRunDuringLeaderFsync) {
   journal::JournalOptions opts;
   opts.dir = dir_;
-  opts.sync = journal::SyncMode::group;
-  opts.commit_interval = 2 * kMillisecond;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 50;
-  {
-    auto j = journal::Journal::open(RealClock::instance(), opts);
-    ASSERT_TRUE(j.ok());
-    std::vector<std::thread> workers;
-    for (int t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&j, t] {
-        for (int i = 0; i < kPerThread; ++i) {
-          auto lsn = (*j)->append_commit("t" + std::to_string(t) + "-" +
-                                         std::to_string(i));
-          ASSERT_TRUE(lsn.ok());
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    const auto st = (*j)->stats();
-    EXPECT_EQ(st.appends, static_cast<std::uint64_t>(kThreads * kPerThread));
-    EXPECT_EQ(st.durable_lsn, st.last_lsn);
-    // The whole point of group commit: far fewer fsyncs than commits.
-    EXPECT_LT(st.fsyncs, st.appends);
-  }
   auto j = journal::Journal::open(RealClock::instance(), opts);
   ASSERT_TRUE(j.ok());
-  std::size_t count = 0;
-  ASSERT_TRUE((*j)
-                  ->replay([&](journal::Lsn, std::string_view) {
-                    ++count;
-                    return Status{};
-                  })
-                  .ok());
-  EXPECT_EQ(count, static_cast<std::size_t>(kThreads * kPerThread));
+  const std::uint64_t fsyncs0 = (*j)->stats().fsyncs;
+  fault::FailPoint& fsync_point = fault::registry().point("journal.fsync");
+  const std::uint64_t evals0 = fsync_point.evals();
+  ASSERT_TRUE(fault::registry().arm("journal.fsync", "sleep(500)").ok());
+  std::thread leader([&j] { EXPECT_TRUE((*j)->append_commit("a").ok()); });
+  while (fsync_point.evals() == evals0) std::this_thread::yield();
+  // The leader is inside its fsync now.
+  constexpr int kAppends = 3;
+  journal::Lsn last = 0;
+  for (int i = 0; i < kAppends; ++i) {
+    auto lsn = (*j)->append("b" + std::to_string(i));
+    EXPECT_TRUE(lsn.ok());
+    if (lsn.ok()) last = *lsn;
+  }
+  EXPECT_EQ((*j)->stats().durable_lsn, 0u)
+      << "append waited for the leader's fsync";
+  fault::registry().disarm_all();
+  leader.join();
+  EXPECT_EQ((*j)->stats().durable_lsn, 1u);
+  EXPECT_EQ((*j)->stats().fsyncs, fsyncs0 + 1);
+  ASSERT_TRUE((*j)->commit(last).ok());
+  const auto st = (*j)->stats();
+  EXPECT_EQ(st.durable_lsn, 1u + kAppends);
+  EXPECT_EQ(st.fsyncs, fsyncs0 + 2);
 }
 
 // ---------- storage manager recovery ----------
@@ -456,54 +454,58 @@ TEST_F(JournalTest, CrashPointReplayConvergesToAckedPrefix) {
   }
 }
 
-// Same loop under group commit: acknowledgment still implies durability,
-// so every acked op must survive (the acked count itself varies with
-// batching, which is fine).
-TEST_F(JournalTest, CrashPointReplayUnderGroupCommit) {
-  std::vector<std::string> shadow;
-  {
-    ManualClock clock;
-    auto sm = make_sm(clock);
-    ASSERT_EQ(run_script(*sm, clock, &shadow), kScriptOps);
-  }
-  for (int crash_after = 1; crash_after <= kScriptOps; crash_after += 3) {
-    const std::string jdir = dir_ + "_g" + std::to_string(crash_after);
+// Concurrent writers with a crash point armed: whichever writer leads
+// the flush that tears, replay is a contiguous LSN prefix holding every
+// acknowledged payload, and nothing past the last good fsync.
+TEST_F(JournalTest, CrashPointReplayUnderConcurrentWriters) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 8;
+  for (int crash_after = 0; crash_after < kThreads * kPerThread;
+       crash_after += 3) {
+    const std::string jdir = dir_ + "_c" + std::to_string(crash_after);
     fs::remove_all(jdir);
-    int acked = 0;
+    std::vector<std::vector<std::string>> acked(kThreads);
     {
-      ManualClock clock;
       journal::JournalOptions opts;
       opts.dir = jdir;
-      opts.sync = journal::SyncMode::group;
-      opts.commit_interval = kMillisecond;
       opts.crash_after_frames = crash_after;
-      auto j = journal::Journal::open(clock, opts);
+      auto j = journal::Journal::open(RealClock::instance(), opts);
       ASSERT_TRUE(j.ok());
-      auto sm = make_sm(clock);
-      ASSERT_TRUE(sm->attach_journal(**j).ok());
-      acked = run_script(*sm, clock);
-      EXPECT_LE(acked, crash_after);
+      std::vector<std::thread> writers;
+      for (int t = 0; t < kThreads; ++t) {
+        writers.emplace_back([&j, &acked, t] {
+          for (int i = 0; i < kPerThread; ++i) {
+            std::string payload =
+                "t" + std::to_string(t) + "-" + std::to_string(i);
+            if (!(*j)->append_commit(payload).ok()) return;
+            acked[static_cast<std::size_t>(t)].push_back(std::move(payload));
+          }
+        });
+      }
+      for (auto& w : writers) w.join();
+      EXPECT_TRUE((*j)->dead()) << "crash point " << crash_after;
     }
-    ManualClock clock2;
     journal::JournalOptions opts;
     opts.dir = jdir;
-    auto j = journal::Journal::open(clock2, opts);
+    auto j = journal::Journal::open(RealClock::instance(), opts);
     ASSERT_TRUE(j.ok());
-    std::size_t replayed = 0;
-    (void)(*j)->replay([&](journal::Lsn, std::string_view) {
-      ++replayed;
-      return Status{};
-    });
-    // Acked ops are durable; the log may additionally hold appended but
-    // never-acknowledged frames only if they were covered by a batch
-    // fsync, in which case they are a longer *prefix* of the script.
-    ASSERT_GE(replayed, static_cast<std::size_t>(acked));
-    ASSERT_LE(replayed, static_cast<std::size_t>(kScriptOps));
-    auto sm = make_sm(clock2);
-    ASSERT_TRUE(sm->attach_journal(**j, /*rebase_clock=*/false).ok());
-    if (replayed > 0) {
-      EXPECT_EQ(sm->serialize_meta(0), shadow[replayed - 1])
-          << "crash point " << crash_after;
+    std::vector<std::string> replayed;
+    ASSERT_TRUE((*j)
+                    ->replay([&](journal::Lsn lsn, std::string_view p) {
+                      EXPECT_EQ(lsn, replayed.size() + 1)
+                          << "crash point " << crash_after;
+                      replayed.emplace_back(p);
+                      return Status{};
+                    })
+                    .ok());
+    EXPECT_LE(replayed.size(), static_cast<std::size_t>(crash_after));
+    for (const auto& mine : acked) {
+      for (const std::string& p : mine) {
+        EXPECT_NE(std::find(replayed.begin(), replayed.end(), p),
+                  replayed.end())
+            << "crash point " << crash_after << ": acked " << p
+            << " lost";
+      }
     }
     fs::remove_all(jdir);
   }

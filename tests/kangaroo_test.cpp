@@ -157,6 +157,19 @@ TEST(NestdConfig, RejectsBadScheduler) {
   EXPECT_FALSE(server::options_from_config(*cfg).ok());
 }
 
+TEST(NestdConfig, JournalSyncIsAlwaysOrNone) {
+  auto cfg = Config::parse("journal = /tmp/j\njournal_sync = none\n");
+  auto parsed = server::options_from_config(*cfg);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed->options.journal_sync, journal::SyncMode::none);
+  cfg = Config::parse("journal = /tmp/j\njournal_sync = group\n");
+  parsed = server::options_from_config(*cfg);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().code, Errc::invalid_argument);
+  EXPECT_NE(parsed.error().message.find("unknown journal sync 'group'"),
+            std::string::npos);
+}
+
 TEST(NestdConfig, RejectsTicketsWithoutStride) {
   auto cfg = Config::parse("scheduler = fifo\ntickets.nfs = 4\n");
   EXPECT_FALSE(server::options_from_config(*cfg).ok());

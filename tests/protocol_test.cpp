@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "discovery/collector.h"
 #include "dispatcher/dispatcher.h"
 #include "net/socket.h"
+#include "protocol/executor.h"
 #include "protocol/ftp_handler.h"
 #include "protocol/gsi.h"
 #include "protocol/request.h"
@@ -306,8 +308,8 @@ TEST_F(DispatcherTest, RemoveAndRenameDropCachedPages) {
         "chirp", transfer::Direction::write, ticket->path, kSize);
     dispatcher_.core().charge(r, kSize);
     dispatcher_.core().complete(r);
-    EXPECT_DOUBLE_EQ(tm_.cache_model().resident_fraction(ticket->path, kSize),
-                     1.0);
+    EXPECT_DOUBLE_EQ(
+        tm_.cache_model().resident_fraction(ticket->path, 0, kSize), 1.0);
     return ticket->path;
   };
   const std::string gone = write_through("/gone");
@@ -316,14 +318,42 @@ TEST_F(DispatcherTest, RemoveAndRenameDropCachedPages) {
   ASSERT_FALSE(kept.empty());
   ASSERT_TRUE(
       dispatcher_.execute(req(protocol::NestOp::unlink, "//gone")).status.ok());
-  EXPECT_DOUBLE_EQ(tm_.cache_model().resident_fraction(gone, kSize), 0.0);
-  EXPECT_DOUBLE_EQ(tm_.cache_model().resident_fraction(kept, kSize), 1.0);
+  EXPECT_DOUBLE_EQ(tm_.cache_model().resident_fraction(gone, 0, kSize), 0.0);
+  EXPECT_DOUBLE_EQ(tm_.cache_model().resident_fraction(kept, 0, kSize), 1.0);
 
   auto mv = req(protocol::NestOp::rename, "/kept/");
   mv.path2 = "/moved";
   ASSERT_TRUE(dispatcher_.execute(mv).status.ok());
-  EXPECT_DOUBLE_EQ(tm_.cache_model().resident_fraction(kept, kSize), 0.0);
+  EXPECT_DOUBLE_EQ(tm_.cache_model().resident_fraction(kept, 0, kSize), 0.0);
   EXPECT_EQ(tm_.cache_model().tracked_pages(), 0);
+}
+
+// NFS-style block I/O at an offset models the pages it touched, not the
+// file's first pages.
+TEST_F(DispatcherTest, BlockOpsModelTheirOwnOffset) {
+  constexpr std::int64_t kOffset = 512 * 1024;
+  constexpr std::int64_t kBlock = 64 * 1024;
+  auto put = req(protocol::NestOp::put, "/blocks");
+  put.size = kOffset + kBlock;
+  auto ticket = dispatcher_.approve_put(put);
+  ASSERT_TRUE(ticket.ok());
+  protocol::TransferExecutor exec(clock_, dispatcher_.core());
+  const transfer::CacheModel& model = tm_.cache_model();
+  std::vector<char> buf(static_cast<std::size_t>(kBlock), 'x');
+  auto wrote = exec.write_block("nfs", *ticket, kOffset, buf);
+  ASSERT_TRUE(wrote.ok());
+  ASSERT_EQ(*wrote, kBlock);
+  EXPECT_DOUBLE_EQ(model.resident_fraction(ticket->path, kOffset, kBlock),
+                   1.0);
+  EXPECT_DOUBLE_EQ(model.resident_fraction(ticket->path, 0, kBlock), 0.0);
+
+  dispatcher_.core().observe_remove(ticket->path);
+  auto got = exec.read_block("nfs", *ticket, kOffset, buf);
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(*got, kBlock);
+  EXPECT_DOUBLE_EQ(model.resident_fraction(ticket->path, kOffset, kBlock),
+                   1.0);
+  EXPECT_DOUBLE_EQ(model.resident_fraction(ticket->path, 0, kBlock), 0.0);
 }
 
 TEST_F(DispatcherTest, SnapshotAdHasTransferState) {

@@ -276,10 +276,10 @@ TEST(CacheAware, ThresholdConfigurable) {
 
 TEST(CacheModel, PredictsResidencyAfterAccess) {
   CacheModel m(64 * 1024, 8 * 1024);  // 8 pages
-  EXPECT_DOUBLE_EQ(m.resident_fraction("/f", 16 * 1024), 0.0);
+  EXPECT_DOUBLE_EQ(m.resident_fraction("/f", 0, 16 * 1024), 0.0);
   m.observe_access("/f", 0, 16 * 1024);
-  EXPECT_DOUBLE_EQ(m.resident_fraction("/f", 16 * 1024), 1.0);
-  EXPECT_GE(m.resident_fraction("/f", 16 * 1024), 0.99);
+  EXPECT_DOUBLE_EQ(m.resident_fraction("/f", 0, 16 * 1024), 1.0);
+  EXPECT_GE(m.resident_fraction("/f", 0, 16 * 1024), 0.99);
 }
 
 TEST(CacheModel, LruEvictionMirrorsKernel) {
@@ -287,9 +287,9 @@ TEST(CacheModel, LruEvictionMirrorsKernel) {
   m.observe_access("/a", 0, 2 * 8192);
   m.observe_access("/b", 0, 2 * 8192);
   m.observe_access("/c", 0, 2 * 8192);  // evicts /a
-  EXPECT_DOUBLE_EQ(m.resident_fraction("/a", 2 * 8192), 0.0);
-  EXPECT_DOUBLE_EQ(m.resident_fraction("/b", 2 * 8192), 1.0);
-  EXPECT_DOUBLE_EQ(m.resident_fraction("/c", 2 * 8192), 1.0);
+  EXPECT_DOUBLE_EQ(m.resident_fraction("/a", 0, 2 * 8192), 0.0);
+  EXPECT_DOUBLE_EQ(m.resident_fraction("/b", 0, 2 * 8192), 1.0);
+  EXPECT_DOUBLE_EQ(m.resident_fraction("/c", 0, 2 * 8192), 1.0);
 }
 
 TEST(CacheModel, ReaccessRefreshes) {
@@ -298,22 +298,22 @@ TEST(CacheModel, ReaccessRefreshes) {
   m.observe_access("/b", 0, 2 * 8192);
   m.observe_access("/a", 0, 2 * 8192);  // /a now MRU
   m.observe_access("/c", 0, 2 * 8192);  // evicts /b
-  EXPECT_DOUBLE_EQ(m.resident_fraction("/a", 2 * 8192), 1.0);
-  EXPECT_DOUBLE_EQ(m.resident_fraction("/b", 2 * 8192), 0.0);
+  EXPECT_DOUBLE_EQ(m.resident_fraction("/a", 0, 2 * 8192), 1.0);
+  EXPECT_DOUBLE_EQ(m.resident_fraction("/b", 0, 2 * 8192), 0.0);
 }
 
 TEST(CacheModel, PartialResidency) {
   CacheModel m(1024 * 1024, 8192);
   m.observe_access("/f", 0, 4 * 8192);
-  EXPECT_DOUBLE_EQ(m.resident_fraction("/f", 8 * 8192), 0.5);
-  EXPECT_LT(m.resident_fraction("/f", 8 * 8192), 0.99);
+  EXPECT_DOUBLE_EQ(m.resident_fraction("/f", 0, 8 * 8192), 0.5);
+  EXPECT_LT(m.resident_fraction("/f", 0, 8 * 8192), 0.99);
 }
 
 TEST(CacheModel, RemoveDropsPages) {
   CacheModel m(1024 * 1024, 8192);
   m.observe_access("/f", 0, 8192);
   m.observe_remove("/f");
-  EXPECT_DOUBLE_EQ(m.resident_fraction("/f", 8192), 0.0);
+  EXPECT_DOUBLE_EQ(m.resident_fraction("/f", 0, 8192), 0.0);
   EXPECT_EQ(m.tracked_pages(), 0);
 }
 
@@ -417,11 +417,15 @@ TEST(CacheModel, MatchesPageLruOracle) {
           std::int64_t below = 0;
           for (std::int64_t p = 0; p < kFilePages; ++p) {
             const std::int64_t upto = std::llround(
-                model.resident_fraction(path, (p + 1) * kPage) *
+                model.resident_fraction(path, 0, (p + 1) * kPage) *
                 static_cast<double>(p + 1));
             ASSERT_EQ(upto - below, oracle.resident(path, p) ? 1 : 0)
                 << "step " << step << " " << path << " page " << p;
             below = upto;
+            // The same page probed on its own, at an unaligned offset.
+            ASSERT_EQ(model.resident_fraction(path, p * kPage + kPage / 3, 1),
+                      oracle.resident(path, p) ? 1.0 : 0.0)
+                << "step " << step << " " << path << " page " << p;
           }
         }
       }
@@ -444,8 +448,8 @@ TEST_P(CacheModelSizeTest, LargerModelNeverLessResident) {
   }
   for (int f = 0; f < 6; ++f) {
     const std::string path = "/f" + std::to_string(f);
-    EXPECT_GE(large.resident_fraction(path, 3 * 8192),
-              small.resident_fraction(path, 3 * 8192));
+    EXPECT_GE(large.resident_fraction(path, 0, 3 * 8192),
+              small.resident_fraction(path, 0, 3 * 8192));
   }
 }
 
